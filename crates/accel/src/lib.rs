@@ -33,9 +33,9 @@
 //! pushed frame — `ModeledAccelEngine` for a live EDX-CAR/EDX-DRONE
 //! latency + energy estimate, and `ScheduledEngine` for the paper's
 //! per-kernel offload decision ([`RuntimeScheduler`] + the offload
-//! policy) made inside `push`. The post-hoc replay executor
-//! (`eudoxus_core::Executor::replay`) delegates to the same per-frame
-//! code path, so in-loop reports and replayed runs of the same log are
+//! policy) made inside `push`. Post-hoc replay
+//! (`eudoxus_core::AccelModel::replay`) runs the same per-frame code
+//! path, so in-loop reports and replayed runs of the same log are
 //! exactly equal; `cargo run --release --example offload_decision`
 //! shows the scheduler deciding live, frame by frame.
 //!
@@ -53,7 +53,7 @@
 //! three-round-trip protocol over an externally supplied transfer time,
 //! and [`RuntimeScheduler::decide_with_accel_ms`] makes the offload
 //! call against it (`f64::INFINITY` forces CPU — a lost frame).
-//! `eudoxus_core::ScheduledEngine::with_link` wires both to a live
+//! `eudoxus_core::SessionBuilder::link` wires both to a live
 //! `LinkModel` and adds the deadline fallback.
 
 pub mod backend_engine;

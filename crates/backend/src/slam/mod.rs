@@ -161,7 +161,7 @@ impl Slam {
     /// Exports the accumulated map for later registration (paper:
     /// "persist map (optional)").
     pub fn persist_map(&self) -> WorldMap {
-        let points = self
+        let mut points: Vec<MapPoint> = self
             .landmarks
             .iter()
             .map(|(&id, l)| MapPoint {
@@ -170,6 +170,10 @@ impl Slam {
                 descriptor: l.descriptor,
             })
             .collect();
+        // `HashMap` order differs per process, and registration builds
+        // its vocabulary and greedy matches in map order: sort by id so
+        // the same survey persists the same map.
+        points.sort_unstable_by_key(|p| p.id);
         let keyframes = self
             .archived
             .iter()

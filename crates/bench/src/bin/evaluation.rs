@@ -13,8 +13,7 @@
 
 use eudoxus_accel::{FrameWorkload, FrontendEngine, Platform};
 use eudoxus_bench::{dataset, row, run_pipeline, run_pipeline_with_map, section};
-use eudoxus_core::executor::{Executor, OffloadPolicy};
-use eudoxus_core::{Mode, RunLog, Summary};
+use eudoxus_core::{AccelModel, Mode, OffloadPolicy, RunLog, Summary};
 use eudoxus_sim::{Platform as SimPlatform, ScenarioKind};
 
 struct PlatformEval {
@@ -43,7 +42,7 @@ fn main() {
     ];
 
     for eval in &evals {
-        let exec = Executor::new(eval.platform);
+        let model = AccelModel::new(eval.platform);
 
         section(&format!("Fig. 17 ({}): latency + SD, baseline vs accelerated", eval.name));
         row(&[
@@ -58,11 +57,11 @@ fn main() {
         let mut all_base: Vec<f64> = Vec::new();
         let mut all_accel: Vec<f64> = Vec::new();
         for (mode, log) in &eval.logs {
-            let policy = match exec.train_scheduler(log, 0.25) {
+            let policy = match model.train_scheduler(log, 0.25) {
                 Some(s) => OffloadPolicy::Scheduled(s),
                 None => OffloadPolicy::Always,
             };
-            let run = exec.replay(log, &policy);
+            let run = model.replay(log, &policy);
             let base = log.latency_summary(None);
             let accel = run.summary();
             all_base.extend(log.total_ms(None));
@@ -92,11 +91,11 @@ fn main() {
         section(&format!("Fig. 18 ({}): FPS with and without pipelining", eval.name));
         let mut rows3: Vec<(f64, f64, f64)> = Vec::new();
         for (_, log) in &eval.logs {
-            let policy = match exec.train_scheduler(log, 0.25) {
+            let policy = match model.train_scheduler(log, 0.25) {
                 Some(s) => OffloadPolicy::Scheduled(s),
                 None => OffloadPolicy::Always,
             };
-            let run = exec.replay(log, &policy);
+            let run = model.replay(log, &policy);
             rows3.push((log.fps(), run.fps_unpipelined(), run.fps_pipelined()));
         }
         let n = rows3.len() as f64;
@@ -114,12 +113,12 @@ fn main() {
         let mut base_j = 0.0;
         let mut accel_j = 0.0;
         for (_, log) in &eval.logs {
-            let policy = match exec.train_scheduler(log, 0.25) {
+            let policy = match model.train_scheduler(log, 0.25) {
                 Some(s) => OffloadPolicy::Scheduled(s),
                 None => OffloadPolicy::Always,
             };
-            let run = exec.replay(log, &policy);
-            base_j += exec.baseline_energy(log) / eval.logs.len() as f64;
+            let run = model.replay(log, &policy);
+            base_j += model.baseline_energy(log) / eval.logs.len() as f64;
             accel_j += run.mean_energy() / eval.logs.len() as f64;
         }
         println!(
@@ -156,11 +155,11 @@ fn main() {
             "accel SD".into(),
         ]);
         for (mode, log) in &eval.logs {
-            let policy = match exec.train_scheduler(log, 0.25) {
+            let policy = match model.train_scheduler(log, 0.25) {
                 Some(s) => OffloadPolicy::Scheduled(s),
                 None => OffloadPolicy::Always,
             };
-            let run = exec.replay(log, &policy);
+            let run = model.replay(log, &policy);
             let base = Summary::of(&log.backend_ms(None));
             let accel = Summary::of(&run.frames.iter().map(|f| f.backend_ms).collect::<Vec<_>>());
             row(&[

@@ -7,7 +7,8 @@
 
 use eudoxus_bench::{row, section};
 use eudoxus_core::{build_map, PipelineConfig, SessionBuilder};
-use eudoxus_sim::{Dataset, Environment, Platform, ScenarioBuilder, ScenarioKind};
+use eudoxus_sim::{Dataset, Platform, ScenarioBuilder, ScenarioKind};
+use eudoxus_stream::Environment;
 
 /// Relabels every frame/segment so the mode selector runs one algorithm.
 fn relabeled(dataset: &Dataset, env: Environment, keep_gps: bool) -> Dataset {

@@ -8,8 +8,7 @@
 
 use eudoxus_accel::{BackendKernelKind, KernelDims, RuntimeScheduler};
 use eudoxus_bench::{dataset, row, run_pipeline, run_pipeline_with_map, section};
-use eudoxus_core::executor::{Executor, OffloadPolicy};
-use eudoxus_core::Mode;
+use eudoxus_core::{AccelModel, Mode, OffloadPolicy};
 use eudoxus_sim::{Platform as SimPlatform, ScenarioKind};
 
 fn main() {
@@ -28,7 +27,7 @@ fn main() {
             run_pipeline(&dataset(ScenarioKind::IndoorUnknown, SimPlatform::Drone, frames, 82)),
         ),
     ];
-    let exec = Executor::new(eudoxus_accel::Platform::edx_drone());
+    let model = AccelModel::new(eudoxus_accel::Platform::edx_drone());
 
     // The paper trains one regression per kernel offline on 25% of frames;
     // pool the three mode traces the same way (a single registration map
@@ -40,7 +39,7 @@ fn main() {
     for (_, log) in &logs {
         // Interleave so every kernel appears in both halves (Kalman gain
         // only fires once the MSCKF window fills).
-        for (i, s) in exec.training_samples(log, 1.0).into_iter().enumerate() {
+        for (i, s) in model.training_samples(log, 1.0).into_iter().enumerate() {
             if i % 2 == 0 {
                 train.push(s);
             } else {
@@ -101,9 +100,9 @@ fn main() {
                     remaining: 30,
                 },
             };
-            let accel_ms = exec.backend_engine().offload_time(&dims) * 1e3;
-            let sd = sched.decide(exec.backend_engine(), &dims).is_offload();
-            let od = RuntimeScheduler::oracle_decide(exec.backend_engine(), &dims, s.cpu_millis)
+            let accel_ms = model.backend_engine().offload_time(&dims) * 1e3;
+            let sd = sched.decide(model.backend_engine(), &dims).is_offload();
+            let od = RuntimeScheduler::oracle_decide(model.backend_engine(), &dims, s.cpu_millis)
                 .is_offload();
             if sd == od {
                 agree += 1;
@@ -140,13 +139,13 @@ fn main() {
         for (_, log) in &logs {
             let policy = match policy_of {
                 0 => OffloadPolicy::Never,
-                1 => match exec.train_scheduler(log, 0.25) {
+                1 => match model.train_scheduler(log, 0.25) {
                     Some(s) => OffloadPolicy::Scheduled(s),
                     None => OffloadPolicy::Never,
                 },
                 _ => OffloadPolicy::Always,
             };
-            let run = exec.replay(log, &policy);
+            let run = model.replay(log, &policy);
             total += run.summary().mean * log.len() as f64;
             count += log.len();
         }

@@ -6,18 +6,18 @@
 
 use eudoxus_accel::baselines::table3_speedups;
 use eudoxus_bench::{dataset, row, run_pipeline, section};
-use eudoxus_core::executor::{Executor, OffloadPolicy};
+use eudoxus_core::{AccelModel, OffloadPolicy};
 use eudoxus_sim::{Platform as SimPlatform, ScenarioKind};
 
 fn main() {
     // Measured multi-core-equivalent frame time on the car resolution.
     let log = run_pipeline(&dataset(ScenarioKind::OutdoorUnknown, SimPlatform::Car, 15, 90));
-    let exec = Executor::new(eudoxus_accel::Platform::edx_car());
-    let policy = match exec.train_scheduler(&log, 0.25) {
+    let model = AccelModel::new(eudoxus_accel::Platform::edx_car());
+    let policy = match model.train_scheduler(&log, 0.25) {
         Some(s) => OffloadPolicy::Scheduled(s),
         None => OffloadPolicy::Always,
     };
-    let run = exec.replay(&log, &policy);
+    let run = model.replay(&log, &policy);
     // Our Rust pipeline is single-threaded without SIMD, so the honest
     // mapping is measured time = single-core baseline; the multi-core
     // reference derives from the paper's parallelization factor.

@@ -54,7 +54,7 @@ use eudoxus_accel::Platform as AccelPlatform;
 use eudoxus_bench::baseline::BaselineFrontend;
 use eudoxus_bench::{alloc_track, dataset, row, section};
 use eudoxus_core::{
-    AcceleratedRun, AdmissionConfig, AdmissionStats, Enqueue, Executor, ExecutionEngine,
+    AccelModel, AcceleratedRun, AdmissionConfig, AdmissionStats, Enqueue, ExecutionEngine,
     FrameContext, FrameRecord, LinkProfile, LinkStats, ModeledAccelEngine, OffloadPolicy,
     PipelineConfig, RunLog, ScheduledEngine, SessionBuilder, SessionManager, StochasticLink,
     ThrottleConfig, ThrottleStats,
@@ -235,7 +235,7 @@ fn build_engine(choice: EngineChoice, cpu_log: &RunLog) -> Option<Box<dyn Execut
         EngineChoice::EdxDrone => Some(Box::new(ModeledAccelEngine::edx_drone())),
         EngineChoice::Scheduled => {
             let platform = AccelPlatform::edx_drone();
-            let policy = match Executor::new(platform).train_scheduler(cpu_log, 0.25) {
+            let policy = match AccelModel::new(platform).train_scheduler(cpu_log, 0.25) {
                 Some(sched) => OffloadPolicy::Scheduled(sched),
                 None => OffloadPolicy::Always,
             };
@@ -285,7 +285,7 @@ fn run_engine_pass(
         fps_unpipelined: run.fps_unpipelined(),
         fps_pipelined: run.fps_pipelined(),
         mean_energy_j: run.mean_energy(),
-        baseline_energy_j: Executor::new(platform).baseline_energy(&log),
+        baseline_energy_j: AccelModel::new(platform).baseline_energy(&log),
         offload_rate: run.offload_rate(),
         link: link_result,
     })
@@ -398,9 +398,10 @@ fn run_control_loop(
         for event in data.events() {
             std::hint::black_box(baseline.push(event));
         }
-        let mut throttled = SessionBuilder::new(PipelineConfig::anchored()).build();
+        let mut throttled = SessionBuilder::new(PipelineConfig::anchored())
+            .throttle(ThrottleConfig::new(deadline_ms))
+            .build();
         throttled.set_engine(build_engine(choice, cpu_log).expect("non-cpu choice"));
-        throttled.enable_throttle(ThrottleConfig::new(deadline_ms));
         for event in data.events() {
             std::hint::black_box(throttled.push(event));
         }

@@ -1,14 +1,11 @@
 //! One construction surface for sessions, managers and batch systems.
 //!
-//! [`SessionBuilder`] replaces the sprawl of
-//! `LocalizationSession::new`/`with_registry`/`with_map`/`register`,
-//! `Eudoxus::new`/`with_map` and
-//! `SessionManager::add_agent`+`set_ingest_limit` with one fluent API:
-//! configure once — pipeline config, in-loop
+//! [`SessionBuilder`] is the only way to build a session: configure
+//! once — pipeline config, in-loop
 //! [`ExecutionEngine`](crate::engine::ExecutionEngine), persisted map,
-//! custom backends, agents, ingest bounds — then [`build`] a single
-//! session, [`build_manager`] a many-agent manager, or [`build_batch`] a
-//! dataset-replay [`Eudoxus`].
+//! custom backends, faults, health, throttle, telemetry, agents, ingest
+//! bounds — then [`build`] a single session, [`build_manager`] a
+//! many-agent manager, or [`build_batch`] a dataset-replay [`Eudoxus`].
 //!
 //! ```no_run
 //! use eudoxus_core::{ModeledAccelEngine, PipelineConfig, SessionBuilder};
@@ -83,9 +80,9 @@ impl std::fmt::Debug for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Starts a builder with the defaults every legacy constructor
-    /// implied: the VIO + SLAM estimator registry, no map, and the
-    /// passthrough [`CpuEngine`] (no per-frame accelerator reports).
+    /// Starts a builder with the defaults: the VIO + SLAM estimator
+    /// registry, no map, and the passthrough [`CpuEngine`] (no per-frame
+    /// accelerator reports).
     pub fn new(config: PipelineConfig) -> Self {
         SessionBuilder {
             config,
@@ -240,8 +237,8 @@ impl SessionBuilder {
     }
 
     /// Bounds every manager-built agent's ingest queue (capacity +
-    /// overflow policy). Unset means unbounded — the legacy
-    /// `add_agent` default.
+    /// overflow policy). Unset means unbounded — the
+    /// [`add_agent`](SessionManager::add_agent) default.
     pub fn ingest_limit(mut self, capacity: usize, policy: OverflowPolicy) -> Self {
         self.ingest_limit = Some((capacity, policy));
         self
@@ -256,8 +253,7 @@ impl SessionBuilder {
             // now it arms deadline shedding on the bus-backed engine.
             engine.set_deadline_ms(deadline);
         }
-        let mut session =
-            LocalizationSession::from_parts(self.config.clone(), Vec::new(), engine);
+        let mut session = LocalizationSession::from_parts(self.config.clone(), engine);
         if self.default_registry {
             session.register(Box::new(Vio::new(self.config.vio)));
             session.register(Box::new(Slam::new(self.config.slam)));
@@ -324,7 +320,6 @@ impl SessionBuilder {
 mod tests {
     use super::*;
     use crate::engine::ModeledAccelEngine;
-    use crate::mode::Mode;
     use eudoxus_backend::BackendMode;
     use eudoxus_stream::Environment;
 
@@ -335,7 +330,7 @@ mod tests {
         assert_eq!(session.engine().name(), "cpu");
         assert_eq!(
             session.effective_mode(Environment::OutdoorUnknown),
-            Mode::Vio
+            BackendMode::Vio
         );
     }
 
@@ -347,7 +342,7 @@ mod tests {
         assert!(session.backend(BackendMode::Registration).is_some());
         assert_eq!(
             session.effective_mode(Environment::IndoorKnown),
-            Mode::Registration
+            BackendMode::Registration
         );
     }
 
@@ -363,7 +358,7 @@ mod tests {
         // Indoor frames degrade all the way to odometry.
         assert_eq!(
             session.effective_mode(Environment::IndoorUnknown),
-            Mode::Vio
+            BackendMode::Vio
         );
     }
 

@@ -26,17 +26,21 @@
 //!   [`RuntimeScheduler`] behind an [`OffloadPolicy`], making the
 //!   regression-based offload decision *inside* `push`, not in replay.
 //!
-//! [`Executor::replay`](crate::executor::Executor::replay) delegates to
-//! the same [`AccelModel::model_frame`] code path, so an in-loop report
-//! and a post-hoc replay of the same [`RunLog`](crate::instrument::RunLog)
-//! are exactly equal — decisions, latencies and energy, bit for bit
-//! (proven by `tests/engine_equivalence.rs`).
+//! [`AccelModel::replay`] re-scores a measured [`RunLog`] by feeding its
+//! records through a [`ScheduledEngine`], the same
+//! [`AccelModel::model_frame`] code path a live session runs. An in-loop
+//! report and a post-hoc replay of the same log are therefore exactly
+//! equal: decisions, latencies and energy, bit for bit (proven by
+//! `tests/engine_equivalence.rs`). Replay re-scores recorded logs under
+//! other policies or platforms, and [`AccelModel::train_scheduler`]
+//! fits the scheduler on a log's head; together they produce the data
+//! behind Figs. 17–21 and the scheduler study of Sec. VII-F.
 //!
 //! # Communication-adaptive offload
 //!
 //! The accelerator does not have to sit on the host bus: attaching a
 //! [`LinkModel`](eudoxus_link::LinkModel) (via
-//! [`ScheduledEngine::with_link`] or
+//! [`ExecutionEngine::attach_link`] or
 //! [`SessionBuilder::link`](crate::builder::SessionBuilder::link)) makes
 //! the engine treat it as a *remote* resource behind a modeled channel.
 //! Each pushed frame advances the link one step and re-prices every
@@ -58,10 +62,11 @@
 //! just another link).
 
 use crate::health::{DegradationState, HealthReport};
+use crate::instrument::RunLog;
 use crate::stats::Summary;
 use eudoxus_accel::{
     BackendEngine, BackendKernelKind, EnergyModel, FrameEnergy, FrameWorkload, FrontendEngine,
-    KernelDims, Platform, PlatformKind, RuntimeScheduler,
+    KernelDims, Platform, PlatformKind, RuntimeScheduler, TrainingSample,
 };
 use eudoxus_backend::{Kernel, KernelSample};
 use eudoxus_frontend::{FrameDirective, FrameStats, FrontendTiming};
@@ -303,8 +308,8 @@ impl ExecutionReport {
     }
 
     /// The replay-vocabulary view of this report (drops the per-kernel
-    /// decisions). [`Executor::replay`](crate::executor::Executor::replay)
-    /// produces exactly this for every frame.
+    /// decisions). [`AccelModel::replay`] produces exactly this for every
+    /// frame.
     pub fn accelerated_frame(&self) -> AcceleratedFrame {
         AcceleratedFrame {
             frontend_ms: self.frontend_ms,
@@ -345,7 +350,7 @@ impl AcceleratedFrame {
 /// A run through the accelerator model — collected from an in-loop
 /// engine's reports
 /// ([`RunLog::execution_run`](crate::instrument::RunLog::execution_run))
-/// or produced by [`Executor::replay`](crate::executor::Executor::replay).
+/// or produced by [`AccelModel::replay`].
 #[derive(Debug, Clone)]
 pub struct AcceleratedRun {
     /// Per-frame results, in order.
@@ -487,12 +492,11 @@ pub trait ExecutionEngine: Send {
     }
 }
 
-/// The shared analytical core every accelerator-backed engine (and the
-/// replay [`Executor`](crate::executor::Executor)) evaluates: workload
-/// construction from the frontend counters, the frontend task-pipeline
-/// latency, per-kernel offload arithmetic, and the energy model. One
-/// implementation — so an in-loop report and a replay of the same log
-/// cannot drift apart.
+/// The shared analytical core every accelerator-backed engine (and
+/// [`replay`](Self::replay)) evaluates: workload construction from the
+/// frontend counters, the frontend task-pipeline latency, per-kernel
+/// offload arithmetic, and the energy model. One implementation — so an
+/// in-loop report and a replay of the same log cannot drift apart.
 #[derive(Debug, Clone)]
 pub struct AccelModel {
     platform: Platform,
@@ -562,6 +566,68 @@ impl AccelModel {
     /// Energy of a CPU-only (baseline) frame of the given latency.
     pub fn baseline_frame_energy(&self, frame_seconds: f64) -> FrameEnergy {
         self.energy.baseline_frame(frame_seconds)
+    }
+
+    /// Baseline (all-CPU) energy per frame for the measured log (joules).
+    pub fn baseline_energy(&self, log: &RunLog) -> f64 {
+        if log.is_empty() {
+            return 0.0;
+        }
+        log.records
+            .iter()
+            .map(|r| self.baseline_frame_energy(r.total_ms() * 1e-3).total())
+            .sum::<f64>()
+            / log.len() as f64
+    }
+
+    /// Builds scheduler training samples from the first
+    /// `train_fraction` of the log (the paper trains on 25 % of frames,
+    /// Sec. VII-A).
+    pub fn training_samples(&self, log: &RunLog, train_fraction: f64) -> Vec<TrainingSample> {
+        let n_train = ((log.len() as f64) * train_fraction).ceil() as usize;
+        let mut samples = Vec::new();
+        for r in log.records.iter().take(n_train) {
+            for k in &r.backend_kernels {
+                if let Some(kind) = offloadable_kind(k.kernel) {
+                    samples.push(TrainingSample {
+                        kind,
+                        size: k.size,
+                        cpu_millis: k.millis,
+                    });
+                }
+            }
+        }
+        samples
+    }
+
+    /// Trains the runtime scheduler on the head of the log.
+    pub fn train_scheduler(&self, log: &RunLog, train_fraction: f64) -> Option<RuntimeScheduler> {
+        RuntimeScheduler::train(&self.training_samples(log, train_fraction))
+    }
+
+    /// Replays a measured run under an offload policy, by feeding each
+    /// record through the same [`ScheduledEngine`] code path a live
+    /// session runs.
+    pub fn replay(&self, log: &RunLog, policy: &OffloadPolicy) -> AcceleratedRun {
+        let mut engine = ScheduledEngine::from_model(self.clone(), policy.clone());
+        let frames = log
+            .records
+            .iter()
+            .map(|r| {
+                engine
+                    .execute_frame(&FrameContext {
+                        stats: &r.frontend_stats,
+                        timing: &r.frontend_timing,
+                        backend_kernels: &r.backend_kernels,
+                        // Health-armed logs replay with the same fault-
+                        // aware pricing the live session applied.
+                        health: r.health,
+                    })
+                    .expect("a scheduled engine reports every frame")
+                    .accelerated_frame()
+            })
+            .collect();
+        AcceleratedRun { frames }
     }
 
     /// Evaluates one frame under an offload policy — the single code
@@ -826,12 +892,11 @@ impl ExecutionEngine for ModeledAccelEngine {
 /// The paper's runtime offload scheduler, in the loop: every pushed
 /// frame's offloadable kernels are individually placed by the trained
 /// regression models (or a fixed [`OffloadPolicy`]), and the resulting
-/// report rides on the frame record —
-/// [`Executor::replay`](crate::executor::Executor::replay) of the same
+/// report rides on the frame record — [`AccelModel::replay`] of the same
 /// log reproduces it exactly.
 ///
-/// With a channel attached ([`with_link`](Self::with_link) /
-/// [`attach_link`](ExecutionEngine::attach_link)), the engine advances
+/// With a channel attached
+/// ([`attach_link`](ExecutionEngine::attach_link)), the engine advances
 /// the link once per frame, re-prices every kernel against its state,
 /// and sheds the frame to pure CPU on loss or deadline risk (see the
 /// [module docs](self)). [`Clone`] and
@@ -888,7 +953,8 @@ impl ScheduledEngine {
         }
     }
 
-    /// Shares an existing model (the replay executor's delegation path).
+    /// Shares an existing model ([`AccelModel::replay`]'s delegation
+    /// path).
     pub(crate) fn from_model(model: AccelModel, policy: OffloadPolicy) -> Self {
         ScheduledEngine {
             model,
@@ -897,23 +963,6 @@ impl ScheduledEngine {
             deadline_ms: None,
             stats: LinkStats::default(),
         }
-    }
-
-    /// Puts the accelerator behind a modeled channel: every frame
-    /// advances `link` and prices offloads against its state. A
-    /// `StaticLink` mirroring the platform bus reproduces the linkless
-    /// engine bit for bit.
-    pub fn with_link(mut self, link: impl LinkModel + 'static) -> Self {
-        self.link = Some(Box::new(link));
-        self
-    }
-
-    /// Sets the agent's per-frame latency budget (ms): frames whose
-    /// modeled total with offloads would exceed it are kept fully local
-    /// ([`FallbackCause::DeadlineExceeded`]).
-    pub fn with_deadline_ms(mut self, deadline_ms: f64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
-        self
     }
 
     /// The offload policy in force.
@@ -985,6 +1034,11 @@ impl ExecutionEngine for ScheduledEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instrument::FrameRecord;
+    use eudoxus_backend::BackendMode;
+    use eudoxus_geometry::Pose;
+    use eudoxus_stream::Environment;
+    use std::time::Duration;
 
     fn ctx_inputs() -> (FrameStats, FrontendTiming, Vec<KernelSample>) {
         let stats = FrameStats {
@@ -1099,8 +1153,8 @@ mod tests {
         };
         for platform in [Platform::edx_car(), Platform::edx_drone()] {
             let mut plain = ScheduledEngine::with_policy(platform, OffloadPolicy::Always);
-            let mut linked = ScheduledEngine::with_policy(platform, OffloadPolicy::Always)
-                .with_link(platform.bus.as_link());
+            let mut linked = ScheduledEngine::with_policy(platform, OffloadPolicy::Always);
+            linked.attach_link(Box::new(platform.bus.as_link()), None);
             let a = plain.execute_frame(&ctx).unwrap();
             let b = linked.execute_frame(&ctx).unwrap();
             assert_eq!(a.frontend_ms.to_bits(), b.frontend_ms.to_bits());
@@ -1128,8 +1182,8 @@ mod tests {
             health: None,
         };
         let dead = eudoxus_link::TraceLink::new(vec![LinkState::down()]);
-        let mut engine = ScheduledEngine::with_policy(Platform::edx_drone(), OffloadPolicy::Always)
-            .with_link(dead);
+        let mut engine = ScheduledEngine::with_policy(Platform::edx_drone(), OffloadPolicy::Always);
+        engine.attach_link(Box::new(dead), None);
         for _ in 0..8 {
             let report = engine.execute_frame(&ctx).unwrap();
             assert_eq!(report.offloaded, 0);
@@ -1161,9 +1215,8 @@ mod tests {
         // A painfully slow (but up) link: offloading the Kalman gain
         // would add hundreds of ms, blowing a 50 ms budget.
         let slow = eudoxus_link::StaticLink::new(1e5, 0.2);
-        let mut engine = ScheduledEngine::with_policy(Platform::edx_drone(), OffloadPolicy::Always)
-            .with_link(slow)
-            .with_deadline_ms(50.0);
+        let mut engine = ScheduledEngine::with_policy(Platform::edx_drone(), OffloadPolicy::Always);
+        engine.attach_link(Box::new(slow), Some(50.0));
         let report = engine.execute_frame(&ctx).unwrap();
         assert_eq!(report.fallback, Some(FallbackCause::DeadlineExceeded));
         assert_eq!(report.offloaded, 0);
@@ -1200,5 +1253,150 @@ mod tests {
         assert_eq!(frame.backend_ms.to_bits(), report.backend_ms.to_bits());
         assert_eq!(frame.offloaded, report.offloaded);
         assert_eq!(frame.total_ms().to_bits(), report.total_ms().to_bits());
+    }
+
+    /// A synthetic measured log: heavy frontend, sizable Kalman gains.
+    fn synthetic_log(frames: usize) -> RunLog {
+        let mut log = RunLog::new();
+        for i in 0..frames {
+            let rows = 40 + (i % 50) * 4;
+            log.records.push(FrameRecord {
+                index: i,
+                t: i as f64 * 0.1,
+                environment: Environment::OutdoorUnknown,
+                mode: BackendMode::Vio,
+                frontend_timing: FrontendTiming {
+                    detection: Duration::from_millis(30),
+                    filtering: Duration::from_millis(20),
+                    description: Duration::from_millis(15),
+                    stereo: Duration::from_millis(25),
+                    temporal: Duration::from_millis(10),
+                },
+                frontend_stats: FrameStats {
+                    keypoints_left: 350,
+                    keypoints_right: 350,
+                    stereo_matches: 260,
+                    tracks_continued: 280,
+                    tracks_spawned: 40,
+                    tracks_lost: 30,
+                },
+                backend_kernels: vec![
+                    KernelSample {
+                        kernel: Kernel::ImuIntegration,
+                        millis: 2.0,
+                        size: 20,
+                    },
+                    KernelSample {
+                        kernel: Kernel::KalmanGain,
+                        // Quadratic CPU cost in rows.
+                        millis: 0.5 + 1.2e-3 * (rows * rows) as f64,
+                        size: rows,
+                    },
+                ],
+                pose: Pose::identity(),
+                ground_truth: Pose::identity(),
+                has_ground_truth: true,
+                tracking: true,
+                execution: None,
+                directive: None,
+                health: None,
+            });
+        }
+        log
+    }
+
+    #[test]
+    fn acceleration_beats_measured_baseline() {
+        let log = synthetic_log(40);
+        let model = AccelModel::new(Platform::edx_car());
+        let sched = model.train_scheduler(&log, 0.25).expect("trainable");
+        let run = model.replay(&log, &OffloadPolicy::Scheduled(sched));
+        let baseline_mean = log.latency_summary(None).mean;
+        let accel_mean = run.summary().mean;
+        assert!(
+            accel_mean < baseline_mean,
+            "accel {accel_mean} ms vs baseline {baseline_mean} ms"
+        );
+    }
+
+    #[test]
+    fn pipelining_improves_throughput() {
+        let log = synthetic_log(20);
+        let model = AccelModel::new(Platform::edx_car());
+        let run = model.replay(&log, &OffloadPolicy::Always);
+        assert!(run.fps_pipelined() > run.fps_unpipelined());
+    }
+
+    #[test]
+    fn scheduler_offloads_large_kernels_only() {
+        let log = synthetic_log(60);
+        let model = AccelModel::new(Platform::edx_car());
+        let sched = model.train_scheduler(&log, 0.25).expect("trainable");
+        let run = model.replay(&log, &OffloadPolicy::Scheduled(sched));
+        let rate = run.offload_rate();
+        assert!(rate > 0.3, "offload rate {rate}");
+        // Scheduled must be at least as fast as both extremes.
+        let always = model.replay(&log, &OffloadPolicy::Always);
+        let never = model.replay(&log, &OffloadPolicy::Never);
+        let s = run.summary().mean;
+        assert!(s <= always.summary().mean + 1e-9);
+        assert!(s <= never.summary().mean + 1e-9);
+    }
+
+    #[test]
+    fn energy_drops_with_acceleration() {
+        let log = synthetic_log(30);
+        let model = AccelModel::new(Platform::edx_car());
+        let run = model.replay(&log, &OffloadPolicy::Always);
+        let baseline_j = model.baseline_energy(&log);
+        assert!(
+            run.mean_energy() < baseline_j,
+            "accel {} J vs baseline {} J",
+            run.mean_energy(),
+            baseline_j
+        );
+    }
+
+    #[test]
+    fn never_policy_keeps_cpu_times() {
+        let log = synthetic_log(10);
+        let model = AccelModel::new(Platform::edx_drone());
+        let run = model.replay(&log, &OffloadPolicy::Never);
+        assert_eq!(run.offload_rate(), 0.0);
+        // Backend times must equal the measured CPU times.
+        for (f, r) in run.frames.iter().zip(&log.records) {
+            assert!((f.backend_ms - r.backend_ms()).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn replay_equals_in_loop_engine_on_the_same_log() {
+        // The delegation contract: replay(log) is literally the engine
+        // run over the log's records — every modeled number matches at
+        // the bit level.
+        let log = synthetic_log(25);
+        let model = AccelModel::new(Platform::edx_drone());
+        let sched = model.train_scheduler(&log, 0.25).expect("trainable");
+        let policy = OffloadPolicy::Scheduled(sched);
+        let replayed = model.replay(&log, &policy);
+        let mut engine = ScheduledEngine::from_model(model.clone(), policy);
+        for (frame, record) in replayed.frames.iter().zip(&log.records) {
+            let report = engine
+                .execute_frame(&FrameContext {
+                    stats: &record.frontend_stats,
+                    timing: &record.frontend_timing,
+                    backend_kernels: &record.backend_kernels,
+                    health: record.health,
+                })
+                .unwrap();
+            assert_eq!(report.frontend_ms.to_bits(), frame.frontend_ms.to_bits());
+            assert_eq!(report.backend_ms.to_bits(), frame.backend_ms.to_bits());
+            assert_eq!(report.offloaded, frame.offloaded);
+            assert_eq!(report.offloadable, frame.offloadable);
+            assert_eq!(
+                report.energy.total().to_bits(),
+                frame.energy.total().to_bits()
+            );
+        }
     }
 }

@@ -5,9 +5,8 @@ use crate::control::{AdmissionStats, ThrottleStats};
 use crate::engine::{AcceleratedRun, ExecutionReport};
 use crate::health::{HealthReport, SessionHealthStats};
 use crate::metrics;
-use crate::mode::Mode;
 use crate::stats::Summary;
-use eudoxus_backend::{Kernel, KernelSample};
+use eudoxus_backend::{BackendMode, Kernel, KernelSample};
 use eudoxus_frontend::{FrameDirective, FrameStats, FrontendTiming};
 use eudoxus_geometry::Pose;
 use eudoxus_stream::{Environment, IngestCounters};
@@ -91,7 +90,7 @@ pub struct FrameRecord {
     /// Environment label.
     pub environment: Environment,
     /// Backend mode that ran.
-    pub mode: Mode,
+    pub mode: BackendMode,
     /// Frontend per-task wall-clock times.
     pub frontend_timing: FrontendTiming,
     /// Frontend workload counters (feeds the accelerator model).
@@ -186,12 +185,12 @@ impl RunLog {
     }
 
     /// Records for one mode only.
-    pub fn frames_in_mode(&self, mode: Mode) -> Vec<&FrameRecord> {
+    pub fn frames_in_mode(&self, mode: BackendMode) -> Vec<&FrameRecord> {
         self.records.iter().filter(|r| r.mode == mode).collect()
     }
 
     /// Frontend latencies (ms) for all frames, or one mode.
-    pub fn frontend_ms(&self, mode: Option<Mode>) -> Vec<f64> {
+    pub fn frontend_ms(&self, mode: Option<BackendMode>) -> Vec<f64> {
         self.records
             .iter()
             .filter(|r| mode.is_none_or(|m| r.mode == m))
@@ -200,7 +199,7 @@ impl RunLog {
     }
 
     /// Backend latencies (ms).
-    pub fn backend_ms(&self, mode: Option<Mode>) -> Vec<f64> {
+    pub fn backend_ms(&self, mode: Option<BackendMode>) -> Vec<f64> {
         self.records
             .iter()
             .filter(|r| mode.is_none_or(|m| r.mode == m))
@@ -209,7 +208,7 @@ impl RunLog {
     }
 
     /// Total latencies (ms).
-    pub fn total_ms(&self, mode: Option<Mode>) -> Vec<f64> {
+    pub fn total_ms(&self, mode: Option<BackendMode>) -> Vec<f64> {
         self.records
             .iter()
             .filter(|r| mode.is_none_or(|m| r.mode == m))
@@ -218,7 +217,7 @@ impl RunLog {
     }
 
     /// Total milliseconds per kernel across the run, restricted to a mode.
-    pub fn kernel_totals(&self, mode: Mode) -> Vec<(Kernel, f64)> {
+    pub fn kernel_totals(&self, mode: BackendMode) -> Vec<(Kernel, f64)> {
         let mut totals: std::collections::HashMap<Kernel, f64> = std::collections::HashMap::new();
         for r in self.records.iter().filter(|r| r.mode == mode) {
             for k in &r.backend_kernels {
@@ -274,7 +273,7 @@ impl RunLog {
 
     /// Collects the in-loop [`ExecutionReport`]s carried by this log's
     /// records into an [`AcceleratedRun`] — the live counterpart of
-    /// [`Executor::replay`](crate::executor::Executor::replay), giving
+    /// [`AccelModel::replay`](crate::engine::AccelModel::replay), giving
     /// modeled accelerated fps (pipelined/unpipelined), energy and
     /// offload rate straight from the instrumentation stream. For
     /// link-backed engines the run also carries the link-quality view:
@@ -299,7 +298,7 @@ impl RunLog {
     }
 
     /// Latency summary (total ms) over all frames or one mode.
-    pub fn latency_summary(&self, mode: Option<Mode>) -> Summary {
+    pub fn latency_summary(&self, mode: Option<BackendMode>) -> Summary {
         Summary::of(&self.total_ms(mode))
     }
 
@@ -320,7 +319,7 @@ mod tests {
     use eudoxus_frontend::FrontendTiming;
     use std::time::Duration;
 
-    fn record(mode: Mode, fe_ms: u64, kernels: Vec<KernelSample>) -> FrameRecord {
+    fn record(mode: BackendMode, fe_ms: u64, kernels: Vec<KernelSample>) -> FrameRecord {
         FrameRecord {
             index: 0,
             t: 0.0,
@@ -345,7 +344,7 @@ mod tests {
     #[test]
     fn latency_accounting() {
         let r = record(
-            Mode::Vio,
+            BackendMode::Vio,
             10,
             vec![
                 KernelSample {
@@ -369,10 +368,10 @@ mod tests {
     #[test]
     fn log_filters_by_mode() {
         let mut log = RunLog::new();
-        log.records.push(record(Mode::Vio, 10, vec![]));
-        log.records.push(record(Mode::Slam, 20, vec![]));
-        assert_eq!(log.frames_in_mode(Mode::Vio).len(), 1);
-        assert_eq!(log.frontend_ms(Some(Mode::Slam)), vec![20.0]);
+        log.records.push(record(BackendMode::Vio, 10, vec![]));
+        log.records.push(record(BackendMode::Slam, 20, vec![]));
+        assert_eq!(log.frames_in_mode(BackendMode::Vio).len(), 1);
+        assert_eq!(log.frontend_ms(Some(BackendMode::Slam)), vec![20.0]);
         assert_eq!(log.frontend_ms(None).len(), 2);
     }
 
@@ -380,7 +379,7 @@ mod tests {
     fn kernel_totals_sorted_descending() {
         let mut log = RunLog::new();
         log.records.push(record(
-            Mode::Vio,
+            BackendMode::Vio,
             0,
             vec![
                 KernelSample {
@@ -395,7 +394,7 @@ mod tests {
                 },
             ],
         ));
-        let totals = log.kernel_totals(Mode::Vio);
+        let totals = log.kernel_totals(BackendMode::Vio);
         assert_eq!(totals[0].0, Kernel::ImuIntegration);
         assert_eq!(totals.len(), 2);
     }
@@ -404,7 +403,7 @@ mod tests {
     fn kernel_samples_collects_sizes() {
         let mut log = RunLog::new();
         log.records.push(record(
-            Mode::Vio,
+            BackendMode::Vio,
             0,
             vec![KernelSample {
                 kernel: Kernel::KalmanGain,

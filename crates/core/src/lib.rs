@@ -17,18 +17,18 @@
 //! * [`engine`] — in-loop execution: the [`ExecutionEngine`] consulted
 //!   by `push` for every frame, with the passthrough [`CpuEngine`], the
 //!   always-offload [`ModeledAccelEngine`] and the paper's
-//!   regression-scheduled [`ScheduledEngine`];
+//!   regression-scheduled [`ScheduledEngine`]. The modeling engines
+//!   share one [`AccelModel`], whose [`replay`](AccelModel::replay)
+//!   re-scores a measured CPU run through the accelerator models,
+//!   producing the accelerated latency/energy numbers of Figs. 17–21;
 //! * [`mode`] — mode selection from the environment;
 //! * [`pipeline`] — the batch adapter: `Eudoxus::process_dataset`
 //!   replays a recorded dataset through a session, with full per-kernel
 //!   instrumentation (needs the default `sim` feature — the streaming
 //!   surface does not);
 //! * [`instrument`] — the run log every experiment consumes;
-//! * [`executor`] — replay of a measured CPU run through the accelerator
-//!   models, producing the accelerated latency/energy numbers of
-//!   Figs. 17–21;
 //! * [`metrics`] — trajectory error metrics (RMSE/ATE);
-//! * [`stats`] — summary statistics (mean/SD/RSD/percentiles);
+//! * [`stats`] — summary statistics (mean/SD/RSD/RMS);
 //! * [`mapping`] — building a persisted map via a SLAM pass.
 //!
 //! # Batch example
@@ -80,30 +80,6 @@
 //!     }
 //! }
 //! ```
-//!
-//! # Migrating to `SessionBuilder` (the in-loop offload redesign)
-//!
-//! Construction is now one fluent surface; the old constructors remain
-//! as deprecated shims that forward to it:
-//!
-//! | Before | After |
-//! |---|---|
-//! | `LocalizationSession::new(cfg)` | `SessionBuilder::new(cfg).build()` |
-//! | `LocalizationSession::new(cfg).with_map(map)` | `SessionBuilder::new(cfg).map(map).build()` |
-//! | `LocalizationSession::with_registry(cfg, vec![Box::new(MyVio::new(v))])` | `SessionBuilder::new(cfg).without_default_backends().backend(move \|\| MyVio::new(v)).build()` |
-//! | `Eudoxus::new(cfg)` | `SessionBuilder::new(cfg).build_batch()` |
-//! | `Eudoxus::new(cfg).with_map(map)` | `SessionBuilder::new(cfg).map(map).build_batch()` |
-//! | `manager.add_agent(id, session)` + `manager.set_ingest_limit(id, n, p)` | `SessionBuilder::new(cfg).ingest_limit(n, p).agent(id).build_manager()` |
-//! | `manager.enqueue(id, event)` (lossy bool) | `manager.try_enqueue(id, event)` (reports, hands refusals back) |
-//!
-//! `register`, `add_agent` and `set_ingest_limit` stay un-deprecated:
-//! they are *runtime mutation* (hot-swapping an estimator, an agent
-//! joining a running manager), which the construction-time builder does
-//! not replace. New with the redesign: `.engine(..)` selects the
-//! in-loop [`ExecutionEngine`] (default [`CpuEngine`], a passthrough
-//! that keeps sessions bit-identical to the pre-engine API), and
-//! `RunLog::execution_run()` turns the engine's per-frame reports into
-//! the same `AcceleratedRun` the replay executor produces.
 //!
 //! # Communication-adaptive offload (`SessionBuilder::link`)
 //!
@@ -246,33 +222,16 @@
 //! [`SessionBuilder::throttle`]: builder::SessionBuilder::throttle
 //! [`SessionBuilder::admission`]: builder::SessionBuilder::admission
 //!
-//! # Migrating from the pre-streaming API
+//! # Serving without the simulator
 //!
-//! [`Eudoxus`] no longer exposes its concrete estimators (the old direct
-//! `vio`/`slam`/`registration` fields and the `slam()` accessor are
-//! gone): estimators live in the session's registry behind the
-//! `eudoxus_backend::Backend` trait. Use
-//! [`Eudoxus::persisted_map`] to export a SLAM map,
-//! [`Eudoxus::session_mut`] to register custom backends, and
-//! `session().backend(mode)` for read access to a specific estimator.
-//! In `eudoxus_backend`, the old `BackendMode` *trait*
-//! (`process`/`reset`/`name`) became the `Backend` trait
-//! (`begin_segment`/`step`/`reset`/`mode`), `BackendMode` is now the
-//! estimator-family *enum*, and `BackendReport` was renamed
-//! `BackendEstimate`.
-//!
-//! # Migrating to `eudoxus-stream` ingestion
-//!
-//! The event model (`SensorEvent`, `ImageEvent`, `Environment`, …) moved
-//! from `eudoxus-sim` to the leaf `eudoxus-stream` crate; `eudoxus_sim`
-//! re-exports the same types, so existing imports keep compiling. This
-//! crate's simulator dependency is now the optional default feature
-//! `sim`, which gates only the batch surface ([`Eudoxus`]'s
-//! `process_dataset` and [`mapping`]'s `build_map`): build with
-//! `default-features = false` for a serving node that feeds sessions
-//! from live `eudoxus_stream::EventSource`s and never links the
-//! scenario generator. For many-agent serving, prefer the ingestion
-//! path: register one `EventSource` per agent in a
+//! The event model (`SensorEvent`, `ImageEvent`, `Environment`, …) lives
+//! in the leaf `eudoxus-stream` crate. This crate's simulator dependency
+//! is the optional default feature `sim`, which gates only the batch
+//! surface ([`Eudoxus`]'s `process_dataset` and [`mapping`]'s
+//! `build_map`): build with `default-features = false` for a serving
+//! node that feeds sessions from live `eudoxus_stream::EventSource`s and
+//! never links the scenario generator. For many-agent serving, prefer
+//! the ingestion path: register one `EventSource` per agent in a
 //! `eudoxus_stream::StreamMux`, bound each agent's queue with
 //! [`SessionManager::set_ingest_limit`], and drive everything with
 //! [`SessionManager::pump`] (or `ingest` + `poll`/`poll_parallel` for
@@ -282,7 +241,6 @@
 pub mod builder;
 pub mod control;
 pub mod engine;
-pub mod executor;
 pub mod health;
 pub mod instrument;
 #[cfg(feature = "sim")]
@@ -302,7 +260,6 @@ pub use engine::{
     ExecutionTarget, FallbackCause, FrameContext, KernelDecision, LinkStats, ModeledAccelEngine,
     OffloadPolicy, ScheduledEngine,
 };
-pub use executor::Executor;
 pub use health::{
     DegradationState, FrameVitals, HealthConfig, HealthMonitor, HealthReport, SessionHealthStats,
 };
@@ -321,8 +278,7 @@ pub use stats::Summary;
 pub use eudoxus_frontend::FrameDirective;
 
 // The streaming event types, re-exported so session consumers need only
-// this crate. (They live in the leaf `eudoxus-stream` crate; the
-// historical `eudoxus_sim` paths re-export the same types.)
+// this crate (they live in the leaf `eudoxus-stream` crate).
 pub use eudoxus_stream::{ImageEvent, SensorEvent};
 
 // The channel model, re-exported so link-aware sessions need only this

@@ -8,7 +8,8 @@
 use crate::builder::SessionBuilder;
 use crate::pipeline::PipelineConfig;
 use eudoxus_backend::WorldMap;
-use eudoxus_sim::{Dataset, Environment};
+use eudoxus_sim::Dataset;
+use eudoxus_stream::Environment;
 
 /// Runs a SLAM mapping pass over the dataset and returns the persisted
 /// map. The dataset's environment labels are ignored — every frame is
@@ -45,6 +46,26 @@ mod tests {
         let map = build_map(&data, &PipelineConfig::anchored());
         assert!(map.points.len() > 30, "only {} points", map.points.len());
         assert!(!map.keyframes.is_empty());
+    }
+
+    #[test]
+    fn survey_is_reproducible_within_a_process() {
+        // Two surveys of one dataset persist the same map: the same
+        // point ids in the same order, with bit-identical contents.
+        let data = ScenarioBuilder::new(ScenarioKind::IndoorKnown)
+            .frames(5)
+            .seed(11)
+            .platform(Platform::Drone)
+            .build();
+        let a = build_map(&data, &PipelineConfig::anchored());
+        let b = build_map(&data, &PipelineConfig::anchored());
+        let ids = |m: &WorldMap| m.points.iter().map(|p| p.id).collect::<Vec<_>>();
+        assert_eq!(ids(&a), ids(&b), "point order differs between surveys");
+        for (p, q) in a.points.iter().zip(&b.points) {
+            let bits = |v: eudoxus_geometry::Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+            assert_eq!(bits(p.position), bits(q.position), "point {} moved", p.id);
+            assert_eq!(p.descriptor, q.descriptor, "point {} descriptor", p.id);
+        }
     }
 
     #[test]

@@ -1,71 +1,20 @@
 //! Backend mode selection (paper Fig. 2).
 
 use eudoxus_stream::Environment;
-use std::fmt;
 
-/// The three backend modes of the unified algorithm (paper Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Mode {
-    /// Localize against a pre-built map (indoor, known).
-    Registration,
-    /// Filter-based odometry, GPS-corrected outdoors.
-    Vio,
-    /// Build the map while localizing (indoor, unknown).
-    Slam,
-}
+/// The three backend modes of the unified algorithm (paper Fig. 4) —
+/// the estimator registry's own enum under its selection-side name.
+pub use eudoxus_backend::BackendMode as Mode;
 
-impl Mode {
-    /// All modes in paper order.
-    pub const ALL: [Mode; 3] = [Mode::Registration, Mode::Vio, Mode::Slam];
-
-    /// Selects the mode an environment prefers (the affinity the paper
-    /// establishes in Sec. III): registration indoors with a map, SLAM
-    /// indoors without, VIO (with GPS) outdoors — with or without a map,
-    /// since VIO Pareto-dominates there (Fig. 3c/d).
-    pub fn for_environment(env: Environment) -> Mode {
-        match env {
-            Environment::IndoorUnknown => Mode::Slam,
-            Environment::IndoorKnown => Mode::Registration,
-            Environment::OutdoorUnknown | Environment::OutdoorKnown => Mode::Vio,
-        }
-    }
-}
-
-// `Mode` (the environment-selection vocabulary, tied to
-// `eudoxus_stream::Environment`) and `eudoxus_backend::BackendMode` (the
-// estimator-registry vocabulary) intentionally stay separate enums: the
-// backend crate cannot name the streaming `Environment`, and keeping the
-// serving-side type free of selection policy lets third-party backends
-// depend on `eudoxus-backend` alone. These conversions are the only
-// coupling point.
-impl From<eudoxus_backend::BackendMode> for Mode {
-    fn from(mode: eudoxus_backend::BackendMode) -> Mode {
-        match mode {
-            eudoxus_backend::BackendMode::Registration => Mode::Registration,
-            eudoxus_backend::BackendMode::Vio => Mode::Vio,
-            eudoxus_backend::BackendMode::Slam => Mode::Slam,
-        }
-    }
-}
-
-impl From<Mode> for eudoxus_backend::BackendMode {
-    fn from(mode: Mode) -> eudoxus_backend::BackendMode {
-        match mode {
-            Mode::Registration => eudoxus_backend::BackendMode::Registration,
-            Mode::Vio => eudoxus_backend::BackendMode::Vio,
-            Mode::Slam => eudoxus_backend::BackendMode::Slam,
-        }
-    }
-}
-
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Mode::Registration => "registration",
-            Mode::Vio => "vio",
-            Mode::Slam => "slam",
-        };
-        f.write_str(s)
+/// Selects the mode an environment prefers (the affinity the paper
+/// establishes in Sec. III): registration indoors with a map, SLAM
+/// indoors without, VIO (with GPS) outdoors — with or without a map,
+/// since VIO Pareto-dominates there (Fig. 3c/d).
+pub fn for_environment(env: Environment) -> Mode {
+    match env {
+        Environment::IndoorUnknown => Mode::Slam,
+        Environment::IndoorKnown => Mode::Registration,
+        Environment::OutdoorUnknown | Environment::OutdoorKnown => Mode::Vio,
     }
 }
 
@@ -75,26 +24,18 @@ mod tests {
 
     #[test]
     fn affinity_matches_figure2() {
-        assert_eq!(Mode::for_environment(Environment::IndoorUnknown), Mode::Slam);
+        assert_eq!(for_environment(Environment::IndoorUnknown), Mode::Slam);
         assert_eq!(
-            Mode::for_environment(Environment::IndoorKnown),
+            for_environment(Environment::IndoorKnown),
             Mode::Registration
         );
-        assert_eq!(Mode::for_environment(Environment::OutdoorUnknown), Mode::Vio);
-        assert_eq!(Mode::for_environment(Environment::OutdoorKnown), Mode::Vio);
+        assert_eq!(for_environment(Environment::OutdoorUnknown), Mode::Vio);
+        assert_eq!(for_environment(Environment::OutdoorKnown), Mode::Vio);
     }
 
     #[test]
     fn display_names() {
         assert_eq!(Mode::Slam.to_string(), "slam");
         assert_eq!(Mode::ALL.len(), 3);
-    }
-
-    #[test]
-    fn backend_mode_roundtrip() {
-        use eudoxus_backend::BackendMode;
-        for mode in Mode::ALL {
-            assert_eq!(Mode::from(BackendMode::from(mode)), mode);
-        }
     }
 }

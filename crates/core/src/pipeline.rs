@@ -18,9 +18,8 @@
 
 #[cfg(feature = "sim")]
 use crate::instrument::RunLog;
-use crate::mode::Mode;
 use crate::session::LocalizationSession;
-use eudoxus_backend::{Registration, RegistrationConfig, SlamConfig, VioConfig, WorldMap};
+use eudoxus_backend::{BackendMode, RegistrationConfig, SlamConfig, VioConfig, WorldMap};
 use eudoxus_frontend::FrontendConfig;
 #[cfg(feature = "sim")]
 use eudoxus_sim::Dataset;
@@ -82,29 +81,6 @@ impl Eudoxus {
         Eudoxus { session }
     }
 
-    /// Creates a system without a map (registration mode unavailable; the
-    /// mode selector then falls back to SLAM for indoor-known segments).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SessionBuilder::new(config).build_batch()` — the builder \
-                also selects the in-loop execution engine and a persisted map"
-    )]
-    pub fn new(config: PipelineConfig) -> Self {
-        crate::builder::SessionBuilder::new(config).build_batch()
-    }
-
-    /// Installs a persisted map, enabling registration mode.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SessionBuilder::new(config).map(map).build_batch()`"
-    )]
-    pub fn with_map(mut self, map: WorldMap) -> Self {
-        let cfg = self.session.config().registration;
-        self.session
-            .register(Box::new(Registration::new(map, cfg)));
-        self
-    }
-
     /// Read access to the underlying streaming session (estimator
     /// registry, persisted map, …).
     pub fn session(&self) -> &LocalizationSession {
@@ -124,7 +100,7 @@ impl Eudoxus {
 
     /// The mode that will run for a frame in `env`, given the registered
     /// backends (e.g. map availability).
-    pub fn effective_mode(&self, env: eudoxus_stream::Environment) -> Mode {
+    pub fn effective_mode(&self, env: eudoxus_stream::Environment) -> BackendMode {
         self.session.effective_mode(env)
     }
 
@@ -159,7 +135,8 @@ impl Eudoxus {
 mod tests {
     use super::*;
     use crate::builder::SessionBuilder;
-    use eudoxus_sim::{Environment, Platform, ScenarioBuilder, ScenarioKind};
+    use eudoxus_sim::{Platform, ScenarioBuilder, ScenarioKind};
+    use eudoxus_stream::Environment;
 
     fn dataset(kind: ScenarioKind, frames: usize) -> Dataset {
         ScenarioBuilder::new(kind)
@@ -175,7 +152,7 @@ mod tests {
         let mut system = SessionBuilder::new(PipelineConfig::anchored()).build_batch();
         let log = system.process_dataset(&data);
         assert_eq!(log.len(), 6);
-        assert!(log.records.iter().all(|r| r.mode == Mode::Vio));
+        assert!(log.records.iter().all(|r| r.mode == BackendMode::Vio));
         let rmse = log.translation_rmse();
         assert!(rmse < 1.5, "VIO RMSE {rmse} m");
     }
@@ -185,7 +162,7 @@ mod tests {
         let data = dataset(ScenarioKind::IndoorUnknown, 5);
         let mut system = SessionBuilder::new(PipelineConfig::anchored()).build_batch();
         let log = system.process_dataset(&data);
-        assert!(log.records.iter().all(|r| r.mode == Mode::Slam));
+        assert!(log.records.iter().all(|r| r.mode == BackendMode::Slam));
         let rmse = log.translation_rmse();
         assert!(rmse < 1.0, "SLAM RMSE {rmse} m");
     }
@@ -195,7 +172,7 @@ mod tests {
         let data = dataset(ScenarioKind::IndoorKnown, 2);
         let mut system = SessionBuilder::new(PipelineConfig::anchored()).build_batch();
         let log = system.process_dataset(&data);
-        assert!(log.records.iter().all(|r| r.mode == Mode::Slam));
+        assert!(log.records.iter().all(|r| r.mode == BackendMode::Slam));
     }
 
     #[test]
@@ -206,7 +183,10 @@ mod tests {
         assert!(!map.points.is_empty());
         let mut system = SessionBuilder::new(PipelineConfig::anchored()).map(map).build_batch();
         let log = system.process_dataset(&data);
-        assert!(log.records.iter().all(|r| r.mode == Mode::Registration));
+        assert!(log
+            .records
+            .iter()
+            .all(|r| r.mode == BackendMode::Registration));
         let tracked = log.records.iter().filter(|r| r.tracking).count();
         assert!(tracked >= log.len() / 2, "tracked {tracked}/{}", log.len());
     }
@@ -220,13 +200,13 @@ mod tests {
             .build();
         let mut system = SessionBuilder::new(PipelineConfig::anchored()).build_batch();
         let log = system.process_dataset(&data);
-        let modes: Vec<Mode> = log.records.iter().map(|r| r.mode).collect();
-        assert!(modes.contains(&Mode::Vio));
-        assert!(modes.contains(&Mode::Slam));
+        let modes: Vec<BackendMode> = log.records.iter().map(|r| r.mode).collect();
+        assert!(modes.contains(&BackendMode::Vio));
+        assert!(modes.contains(&BackendMode::Slam));
         // Environment labels drive the modes.
         for r in &log.records {
             if r.environment == Environment::OutdoorUnknown {
-                assert_eq!(r.mode, Mode::Vio);
+                assert_eq!(r.mode, BackendMode::Vio);
             }
         }
     }

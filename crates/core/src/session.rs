@@ -27,16 +27,14 @@
 use crate::control::{
     AdmissionConfig, AdmissionStats, ThrottleConfig, ThrottleController, ThrottleStats,
 };
-use crate::engine::{CpuEngine, ExecutionEngine, FrameContext};
+use crate::engine::{ExecutionEngine, FrameContext};
 use crate::health::{
     DegradationState, FrameVitals, HealthConfig, HealthMonitor, HealthReport, SessionHealthStats,
 };
 use crate::instrument::{FrameRecord, IngestSnapshot};
-use crate::mode::Mode;
 use crate::pipeline::PipelineConfig;
 use eudoxus_backend::{
-    Backend, BackendEstimate, BackendInput, BackendMode, GpsFix, ImuReading, Registration, Slam,
-    Vio, WorldMap,
+    Backend, BackendEstimate, BackendInput, BackendMode, GpsFix, ImuReading, WorldMap,
 };
 use eudoxus_faults::{FaultCounters, FaultProcess};
 use eudoxus_frontend::{FrameDirective, Frontend};
@@ -139,48 +137,17 @@ impl std::fmt::Debug for LocalizationSession {
 }
 
 impl LocalizationSession {
-    /// Creates a session with the default estimator registry: VIO and
-    /// SLAM.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SessionBuilder::new(config).build()` — the builder also \
-                selects the in-loop execution engine, a persisted map, and \
-                custom backends"
-    )]
-    pub fn new(config: PipelineConfig) -> Self {
-        let mut session =
-            LocalizationSession::from_parts(config.clone(), Vec::new(), Box::new(CpuEngine));
-        session.register(Box::new(Vio::new(config.vio)));
-        session.register(Box::new(Slam::new(config.slam)));
-        session
-    }
-
-    /// Creates a session over an explicit estimator registry (no defaults
-    /// added).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SessionBuilder::new(config).without_default_backends()\
-                .backend(..)` — see the crate-level migration notes"
-    )]
-    pub fn with_registry(config: PipelineConfig, backends: Vec<Box<dyn Backend>>) -> Self {
-        LocalizationSession::from_parts(config, backends, Box::new(CpuEngine))
-    }
-
-    /// The primitive constructor every public construction path funnels
-    /// into: explicit registry (no defaults added), explicit engine.
-    /// Backends should cover the frames the stream will carry; an image
-    /// frame no registered backend (nor its fallbacks) can serve is
-    /// returned as an unserved record (held pose, `tracking: false`)
-    /// rather than panicking.
-    pub(crate) fn from_parts(
-        config: PipelineConfig,
-        backends: Vec<Box<dyn Backend>>,
-        engine: Box<dyn ExecutionEngine>,
-    ) -> Self {
+    /// The primitive constructor the builder funnels into: an empty
+    /// estimator registry (the builder [`register`](Self::register)s
+    /// the backends) and an explicit engine. Backends should cover the
+    /// frames the stream will carry; an image frame no registered
+    /// backend (nor its fallbacks) can serve is returned as an unserved
+    /// record (held pose, `tracking: false`) rather than panicking.
+    pub(crate) fn from_parts(config: PipelineConfig, engine: Box<dyn ExecutionEngine>) -> Self {
         LocalizationSession {
             frontend: Frontend::new(config.frontend),
             config,
-            backends,
+            backends: Vec::new(),
             engine,
             pending_imu: Vec::new(),
             pending_gps: Vec::new(),
@@ -207,20 +174,18 @@ impl LocalizationSession {
     /// default thresholds unless [`enable_health`](Self::enable_health)
     /// already configured it — a faulted session without its survival
     /// reflex would be pointless.
-    pub fn attach_faults(&mut self, process: FaultProcess) -> &mut Self {
+    pub(crate) fn attach_faults(&mut self, process: FaultProcess) {
         self.faults = Some(process);
         if self.health.is_none() {
             self.enable_health(HealthConfig::default());
         }
-        self
     }
 
     /// Enables health monitoring + graceful degradation with the given
     /// thresholds (see [`HealthMonitor`]). Sessions without it keep the
     /// historical serving behavior bit for bit.
-    pub fn enable_health(&mut self, config: HealthConfig) -> &mut Self {
+    pub(crate) fn enable_health(&mut self, config: HealthConfig) {
         self.health = Some(HealthMonitor::new(config));
-        self
     }
 
     /// Whether a fault process is attached.
@@ -250,11 +215,10 @@ impl LocalizationSession {
     /// `config.deadline_ms` and — hysteretically — issues a
     /// [`FrameDirective`] the *next* frame's frontend applies (see
     /// [`ThrottleController`]). Requires a reporting engine; with the
-    /// [`CpuEngine`] passthrough the controller never observes a
-    /// period and stays idle.
-    pub fn enable_throttle(&mut self, config: ThrottleConfig) -> &mut Self {
+    /// [`CpuEngine`](crate::engine::CpuEngine) passthrough the
+    /// controller never observes a period and stays idle.
+    pub(crate) fn enable_throttle(&mut self, config: ThrottleConfig) {
         self.throttle = Some(ThrottleController::new(config));
-        self
     }
 
     /// Throttle counters (all zeros when the loop is unarmed).
@@ -286,11 +250,10 @@ impl LocalizationSession {
     /// to a plain one on every pose and modeled quantity (telemetry is
     /// strictly observation; nothing it records is ever read back into
     /// estimation or control).
-    pub fn enable_telemetry(&mut self, config: TelemetryConfig) -> &mut Self {
+    pub(crate) fn enable_telemetry(&mut self, config: TelemetryConfig) {
         let hub = TelemetryHub::new(config);
         self.frontend.set_telemetry(Some(hub.clone()));
         self.telemetry = Some(hub);
-        self
     }
 
     /// The armed telemetry hub (drain spans, snapshot histograms), if
@@ -315,17 +278,6 @@ impl LocalizationSession {
             reg.gauge("modeled_period_ms", period);
         }
         reg.counter("frames_processed", self.next_index as u64);
-    }
-
-    /// Installs a persisted map, registering a registration backend.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SessionBuilder::new(config).map(map).build()`"
-    )]
-    pub fn with_map(mut self, map: WorldMap) -> Self {
-        let cfg = self.config.registration;
-        self.register(Box::new(Registration::new(map, cfg)));
-        self
     }
 
     /// Registers an estimator, replacing any existing backend of the same
@@ -389,18 +341,18 @@ impl LocalizationSession {
     /// registered backend is found. With the default registry and no map,
     /// indoor-known frames degrade from registration to SLAM — the
     /// behavior the paper's mode selector specifies.
-    pub fn effective_mode(&self, env: Environment) -> Mode {
-        let mut mode = BackendMode::from(Mode::for_environment(env));
+    pub fn effective_mode(&self, env: Environment) -> BackendMode {
+        let mut mode = crate::mode::for_environment(env);
         loop {
             if self.backends.iter().any(|b| b.mode() == mode) {
-                return Mode::from(mode);
+                return mode;
             }
             match mode.fallback() {
                 Some(f) => mode = f,
                 // Nothing registered along the chain; report the last
                 // (floor) mode — such frames are served gracefully as
                 // unserved (held pose, `tracking: false`).
-                None => return Mode::from(mode),
+                None => return mode,
             }
         }
     }
@@ -499,12 +451,14 @@ impl LocalizationSession {
             }
             // A fresh segment starts with fresh vitals: no inter-frame
             // gap, no innovation carried over from the old trajectory.
+            // Its last trusted state is the applied anchor, so a first
+            // frame that dead-reckons starts there, not at identity.
             if let Some(monitor) = &mut self.health {
                 monitor.reset();
             }
             self.last_frame_t = None;
-            self.last_pose = None;
-            self.last_velocity = Vec3::zero();
+            self.last_pose = applied.map(|a| a.pose);
+            self.last_velocity = applied.map_or(Vec3::zero(), |a| a.velocity);
             self.last_innovation = 0.0;
         }
 
@@ -615,12 +569,12 @@ impl LocalizationSession {
                         _ => {}
                     }
                 }
-                match self.backend_mut(preferred.into()) {
+                match self.backend_mut(preferred) {
                     Some(backend) => backend.step(&input),
                     // An empty registry is a misconfiguration, but a
                     // serving node must not die for it: hold the last
-                    // trusted pose (identity on a fresh segment) and
-                    // report the frame as not tracking.
+                    // trusted pose (the anchor, or identity, on a fresh
+                    // segment) and report the frame as not tracking.
                     None => {
                         served = false;
                         BackendEstimate {
@@ -650,12 +604,13 @@ impl LocalizationSession {
                 self.health_stats.fallback_frames += 1;
             }
             // Lag-one innovation for the *next* frame's vitals. Only
-            // meaningful once a real previous pose exists — on the first
-            // frame of a segment the jump from the identity placeholder
-            // to an anchored start would read as a spurious fault.
-            self.last_innovation = self
-                .last_pose
-                .map_or(0.0, |p0| estimate.pose.translation_distance(p0));
+            // meaningful once this segment served a previous frame — on
+            // the first frame the jump from the anchor (or the identity
+            // placeholder) would read as a spurious fault.
+            self.last_innovation = match (self.last_frame_t, self.last_pose) {
+                (Some(_), Some(p0)) => estimate.pose.translation_distance(p0),
+                _ => 0.0,
+            };
             if let (Some(t0), Some(p0)) = (self.last_frame_t, self.last_pose) {
                 let dt = image.t - t0;
                 if dt > 1e-9 {
@@ -744,15 +699,15 @@ impl LocalizationSession {
     /// served.
     fn dead_reckon_along_chain(
         &mut self,
-        preferred: Mode,
+        preferred: BackendMode,
         input: &BackendInput<'_>,
         from: PoseAnchor,
-    ) -> Option<(Mode, BackendEstimate)> {
-        let mut mode = Some(BackendMode::from(preferred));
+    ) -> Option<(BackendMode, BackendEstimate)> {
+        let mut mode = Some(preferred);
         while let Some(m) = mode {
             if let Some(backend) = self.backend_mut(m) {
                 if let Some(estimate) = backend.dead_reckon(input, from) {
-                    return Some((Mode::from(m), estimate));
+                    return Some((m, estimate));
                 }
             }
             mode = m.fallback();
@@ -829,8 +784,8 @@ pub struct IngestReport {
 /// services their event queues round-robin.
 ///
 /// This is the serving/sharding seam: each agent's stream is isolated in
-/// its own session. [`enqueue`](SessionManager::enqueue) is the ingest
-/// side; [`poll`](SessionManager::poll) advances one agent at a time so
+/// its own session. [`try_enqueue`](SessionManager::try_enqueue) is the
+/// ingest side; [`poll`](SessionManager::poll) advances one agent at a time so
 /// no single chatty agent can starve the others, and
 /// [`poll_parallel`](SessionManager::poll_parallel) drains all queues
 /// with the agents sharded across worker threads — same records, same
@@ -1063,27 +1018,6 @@ impl SessionManager {
                 }
             }
             None => Enqueue::UnknownAgent(event),
-        }
-    }
-
-    /// Queues an event for one agent, fire-and-forget. Returns `true`
-    /// only when the event was accepted; on `false` it is gone — the
-    /// agent was unknown, or the bounded queue was full and the event
-    /// was discarded and **counted as a drop** (regardless of the
-    /// queue's policy: this API cannot hand an event back, so a `Defer`
-    /// refusal here is a real loss and is accounted as one). Use
-    /// [`try_enqueue`](Self::try_enqueue) to get refused events back
-    /// and retry losslessly.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_enqueue`, which reports exactly what became of the \
-                event and hands refused events back instead of silently \
-                dropping them"
-    )]
-    pub fn enqueue(&mut self, id: &str, event: SensorEvent) -> bool {
-        match self.agents.iter_mut().find(|a| a.id == id) {
-            Some(slot) => slot.inbox.push_or_drop(event),
-            None => false,
         }
     }
 
@@ -1400,11 +1334,11 @@ mod tests {
         let session = make_session();
         assert_eq!(
             session.effective_mode(Environment::OutdoorUnknown),
-            Mode::Vio
+            BackendMode::Vio
         );
         assert_eq!(
             session.effective_mode(Environment::IndoorUnknown),
-            Mode::Slam
+            BackendMode::Slam
         );
     }
 
@@ -1417,7 +1351,7 @@ mod tests {
         assert!(session.backend(BackendMode::Registration).is_none());
         assert_eq!(
             session.effective_mode(Environment::IndoorKnown),
-            Mode::Slam
+            BackendMode::Slam
         );
 
         // End-to-end: every frame of an indoor-known stream runs SLAM.
@@ -1426,7 +1360,7 @@ mod tests {
         let records: Vec<FrameRecord> =
             data.events().filter_map(|e| session.push(e)).collect();
         assert_eq!(records.len(), 3);
-        assert!(records.iter().all(|r| r.mode == Mode::Slam));
+        assert!(records.iter().all(|r| r.mode == BackendMode::Slam));
     }
 
     #[cfg(feature = "sim")]
@@ -1438,7 +1372,7 @@ mod tests {
         assert!(session.backend(BackendMode::Registration).is_some());
         assert_eq!(
             session.effective_mode(Environment::IndoorKnown),
-            Mode::Registration
+            BackendMode::Registration
         );
     }
 
@@ -1454,9 +1388,9 @@ mod tests {
             .build();
         assert_eq!(
             session.effective_mode(Environment::IndoorUnknown),
-            Mode::Vio
+            BackendMode::Vio
         );
-        assert_eq!(session.effective_mode(Environment::IndoorKnown), Mode::Vio);
+        assert_eq!(session.effective_mode(Environment::IndoorKnown), BackendMode::Vio);
     }
 
     #[test]
@@ -1487,7 +1421,7 @@ mod tests {
         let mut session = make_session();
         // Violent stale IMU from the "previous segment".
         for i in 0..20 {
-            session.push(SensorEvent::Imu(eudoxus_sim::ImuSample {
+            session.push(SensorEvent::Imu(eudoxus_stream::ImuSample {
                 t: -1.0 + i as f64 * 0.005,
                 gyro: eudoxus_geometry::Vec3::new(3.0, -3.0, 3.0),
                 accel: eudoxus_geometry::Vec3::new(50.0, 50.0, 50.0),
@@ -1638,8 +1572,8 @@ mod tests {
         // modes match each agent's environment.
         for (id, rec) in &records {
             match id.as_str() {
-                "a" => assert_eq!(rec.mode, Mode::Vio),
-                _ => assert_eq!(rec.mode, Mode::Slam),
+                "a" => assert_eq!(rec.mode, BackendMode::Vio),
+                _ => assert_eq!(rec.mode, BackendMode::Slam),
             }
         }
         assert_eq!(manager.session("a").unwrap().frames_processed(), 2);
@@ -1688,16 +1622,6 @@ mod tests {
         let Enqueue::UnknownAgent(_) = manager.try_enqueue("ghost", back) else {
             panic!("unknown agent must hand the event back");
         };
-        // Fire-and-forget enqueue (the deprecated bool shim) on the same
-        // full Defer queue is a real loss and must be counted as a drop,
-        // not a deferral.
-        #[allow(deprecated)]
-        {
-            assert!(!manager.enqueue("a", boundary()));
-        }
-        let c = manager.ingest_counters("a").unwrap();
-        assert_eq!(c.deferred, 1, "only the try_enqueue refusal defers");
-        assert_eq!(c.events_dropped, 1, "the enqueue refusal is a drop");
         // ingest_stats reflects the bound and the depth.
         let stats = manager.ingest_stats();
         assert_eq!(stats.len(), 1);

@@ -72,17 +72,6 @@ impl Summary {
         }
         (samples.iter().map(|x| x * x).sum::<f64>() / samples.len() as f64).sqrt()
     }
-
-    /// `p`-th percentile (0–100), by nearest-rank on a sorted copy.
-    pub fn percentile(samples: &[f64], p: f64) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
 }
 
 #[cfg(test)]
@@ -113,15 +102,6 @@ mod tests {
         assert_eq!(s.count, 0);
         assert_eq!(s.rsd(), 0.0);
         assert_eq!(Summary::rms(&[]), 0.0);
-        assert_eq!(Summary::percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn percentiles() {
-        let v: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        assert_eq!(Summary::percentile(&v, 0.0), 0.0);
-        assert_eq!(Summary::percentile(&v, 50.0), 50.0);
-        assert_eq!(Summary::percentile(&v, 100.0), 100.0);
     }
 
     #[test]

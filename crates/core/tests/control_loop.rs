@@ -572,7 +572,8 @@ fn control_deadline_missed_counted_without_link() {
     let stats = heavy_stats();
     let timing = heavy_timing();
     let kernels = heavy_kernels();
-    let mut engine = drone_engine().with_deadline_ms(1e-4);
+    let mut engine = drone_engine();
+    engine.set_deadline_ms(1e-4);
 
     let report = engine
         .execute_frame(&heavy_ctx(&stats, &timing, &kernels, None))

@@ -19,6 +19,9 @@
 //! 5. **No panic on an empty registry.** A session with no backends
 //!    holds the pose and counts the frame unserved instead of
 //!    panicking.
+//! 6. **Blind starts keep the anchor.** An anchored segment whose first
+//!    frames are blacked out dead-reckons from the anchor, not from the
+//!    identity pose.
 //!
 //! CI runs this suite by name (`cargo test -p eudoxus-core degradation`).
 
@@ -26,7 +29,7 @@ use eudoxus_core::{
     DegradationState, FaultPlan, FaultProfile, FrameRecord, HealthConfig, LocalizationSession,
     PipelineConfig, RunLog, SessionBuilder,
 };
-use eudoxus_sim::{Dataset, ScenarioBuilder, ScenarioKind};
+use eudoxus_sim::{Dataset, Platform, ScenarioBuilder, ScenarioKind};
 
 const ALL_KINDS: [ScenarioKind; 5] = [
     ScenarioKind::OutdoorUnknown,
@@ -316,4 +319,43 @@ fn empty_registry_holds_pose_instead_of_panicking() {
     let records = stream(&mut watched, &data);
     assert!(records.iter().all(|r| !r.health.unwrap().served));
     assert_eq!(watched.health_stats().unserved_frames, 6);
+}
+
+// ---------------------------------------------------------------------
+// 6. Blind starts keep the anchor.
+
+/// A blackout over the first three frames of an anchored segment: the
+/// first frame dead-reckons from the segment anchor, and recovery
+/// re-anchors the estimators at that dead-reckoned pose — so every
+/// record stays near the ground truth.
+#[test]
+fn anchored_segment_starting_blind_dead_reckons_from_the_anchor() {
+    let data = ScenarioBuilder::new(ScenarioKind::OutdoorUnknown)
+        .frames(6)
+        .seed(7)
+        .platform(Platform::Drone)
+        .build();
+    let plan = FaultPlan {
+        blackout_start: 0,
+        blackout_len: 3,
+        blackout_period: 0,
+        ..FaultPlan::default()
+    };
+    let mut session = SessionBuilder::new(PipelineConfig::anchored())
+        .faults(plan, 1)
+        .build();
+    let records = stream(&mut session, &data);
+    assert_eq!(records.len(), 6);
+    assert!(
+        records[0].health.expect("health armed").dead_reckoned,
+        "a blacked-out first frame must dead-reckon"
+    );
+    for r in &records {
+        let error = r.translation_error();
+        assert!(
+            error < 0.5,
+            "frame {} is {error:.3} m off: the blind start lost the anchor",
+            r.index
+        );
+    }
 }

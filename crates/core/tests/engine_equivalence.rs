@@ -1,33 +1,29 @@
-//! Engine equivalence: the two contracts the in-loop offload redesign
-//! must keep, across every construction path.
+//! Engine equivalence: the two contracts the in-loop offload seam must
+//! keep, across every construction path.
 //!
-//! 1. **Builder == legacy constructors.** A default
-//!    (`CpuEngine`-backed) `SessionBuilder` session is bit-identical to
-//!    the deprecated `LocalizationSession::new`/`with_map` (and
-//!    `Eudoxus::new`) paths across all five `ScenarioKind`s — the shims
-//!    are pure forwarding, and the engine seam observes without touching
-//!    the estimate.
+//! 1. **Builder paths agree.** The default (`CpuEngine`-backed)
+//!    `SessionBuilder` session is bit-identical to one built from an
+//!    explicit VIO + SLAM registry across all five `ScenarioKind`s; the
+//!    batch adapter matches a streamed session; `.map(map)` matches an
+//!    explicitly registered `Registration` backend. The engine seam
+//!    observes without touching the estimate.
 //! 2. **In-loop == replay.** A `ScheduledEngine` deciding inside
 //!    `push` produces, frame for frame, exactly the `AcceleratedRun`
-//!    that `Executor::replay` computes post hoc from the same `RunLog`
+//!    that `AccelModel::replay` computes post hoc from the same `RunLog`
 //!    — same decisions, same modeled latencies, same energy, bit for
 //!    bit — because both run one shared `AccelModel::model_frame` code
 //!    path.
 //!
 //! CI runs this suite by name (`cargo test -p eudoxus-core engine_`);
-//! a drift between the deprecated constructors and the builder, or
-//! between live and replayed offload decisions, fails the gate.
+//! a drift between construction paths, or between live and replayed
+//! offload decisions, fails the gate.
 
-// Comparing the deprecated constructors against the builder is the
-// point of this suite.
-#![allow(deprecated)]
-
-use eudoxus_core::{
-    CpuEngine, Eudoxus, Executor, FrameRecord, LinkProfile, LocalizationSession,
-    ModeledAccelEngine, OffloadPolicy, PipelineConfig, RunLog, ScheduledEngine, SessionBuilder,
-    StochasticLink,
-};
 use eudoxus_accel::Platform as AccelPlatform;
+use eudoxus_backend::{Registration, Slam, Vio};
+use eudoxus_core::{
+    AccelModel, CpuEngine, FrameRecord, LinkProfile, LocalizationSession, ModeledAccelEngine,
+    OffloadPolicy, PipelineConfig, RunLog, ScheduledEngine, SessionBuilder, StochasticLink,
+};
 use eudoxus_sim::{Dataset, Platform, ScenarioBuilder, ScenarioKind};
 
 const ALL_KINDS: [ScenarioKind; 5] = [
@@ -89,18 +85,26 @@ fn assert_records_bit_identical(legacy: &[FrameRecord], built: &[FrameRecord], w
     }
 }
 
+/// The default builder against its registry and engine spelled out.
 #[test]
 fn engine_cpu_builder_is_bit_identical_to_legacy_constructor() {
     for (i, kind) in ALL_KINDS.into_iter().enumerate() {
         let data = dataset(kind, 4, 40 + i as u64);
 
-        let mut legacy = LocalizationSession::new(PipelineConfig::anchored());
-        let legacy_records = stream(&mut legacy, &data);
+        let config = PipelineConfig::anchored();
+        let (vio, slam) = (config.vio, config.slam);
+        let mut explicit = SessionBuilder::new(config)
+            .without_default_backends()
+            .backend(move || Vio::new(vio))
+            .backend(move || Slam::new(slam))
+            .engine(CpuEngine)
+            .build();
+        let explicit_records = stream(&mut explicit, &data);
 
         let mut built = SessionBuilder::new(PipelineConfig::anchored()).build();
         let built_records = stream(&mut built, &data);
 
-        assert_records_bit_identical(&legacy_records, &built_records, &format!("{kind:?}"));
+        assert_records_bit_identical(&explicit_records, &built_records, &format!("{kind:?}"));
         // The default engine is the passthrough: no reports attached,
         // exactly like the pre-engine records.
         assert!(built_records.iter().all(|r| r.execution.is_none()));
@@ -108,36 +112,43 @@ fn engine_cpu_builder_is_bit_identical_to_legacy_constructor() {
     }
 }
 
+/// The batch adapter against a streamed session of the same blueprint.
 #[test]
 fn engine_batch_builder_matches_legacy_eudoxus() {
     let data = dataset(ScenarioKind::Mixed, 6, 3);
-    let mut legacy = Eudoxus::new(PipelineConfig::anchored());
+    let mut streamed = SessionBuilder::new(PipelineConfig::anchored()).build();
     let mut built = SessionBuilder::new(PipelineConfig::anchored()).build_batch();
     assert_records_bit_identical(
-        &legacy.process_dataset(&data).records,
+        &stream(&mut streamed, &data),
         &built.process_dataset(&data).records,
         "batch",
     );
 }
 
+/// `.map(map)` against a registration backend over the same map.
 #[cfg(feature = "sim")]
 #[test]
 fn engine_map_builder_matches_legacy_with_map() {
     let data = dataset(ScenarioKind::IndoorKnown, 4, 7);
     let map = eudoxus_core::build_map(&data, &PipelineConfig::anchored());
 
-    let mut legacy = LocalizationSession::new(PipelineConfig::anchored()).with_map(map.clone());
-    let legacy_records = stream(&mut legacy, &data);
+    let config = PipelineConfig::anchored();
+    let registration = config.registration;
+    let registered = map.clone();
+    let mut explicit = SessionBuilder::new(config)
+        .backend(move || Registration::new(registered.clone(), registration))
+        .build();
+    let explicit_records = stream(&mut explicit, &data);
 
     let mut built = SessionBuilder::new(PipelineConfig::anchored())
         .map(map)
         .build();
     let built_records = stream(&mut built, &data);
 
-    assert!(legacy_records
+    assert!(explicit_records
         .iter()
         .all(|r| r.mode == eudoxus_core::Mode::Registration));
-    assert_records_bit_identical(&legacy_records, &built_records, "with_map");
+    assert_records_bit_identical(&explicit_records, &built_records, "with_map");
 }
 
 #[test]
@@ -157,7 +168,7 @@ fn engine_attached_session_keeps_poses_bit_identical() {
     assert!(modeled_records.iter().all(|r| r.execution.is_some()));
 }
 
-/// In-loop reports vs `Executor::replay` of the very log those reports
+/// In-loop reports vs `AccelModel::replay` of the very log those reports
 /// rode in on: every modeled quantity must agree at the bit level.
 fn assert_in_loop_matches_replay(policy: OffloadPolicy) {
     let platform = AccelPlatform::edx_drone();
@@ -169,7 +180,7 @@ fn assert_in_loop_matches_replay(policy: OffloadPolicy) {
         records: stream(&mut session, &data),
     };
 
-    let replayed = Executor::new(platform).replay(&log, &policy);
+    let replayed = AccelModel::new(platform).replay(&log, &policy);
     assert_eq!(replayed.frames.len(), log.len());
     for (record, frame) in log.records.iter().zip(&replayed.frames) {
         let report = record
@@ -232,8 +243,8 @@ fn engine_scheduled_in_loop_matches_replay_exactly() {
     let profile_log = RunLog {
         records: stream(&mut profiler, &data),
     };
-    let exec = Executor::new(AccelPlatform::edx_drone());
-    let policy = match exec.train_scheduler(&profile_log, 0.25) {
+    let model = AccelModel::new(AccelPlatform::edx_drone());
+    let policy = match model.train_scheduler(&profile_log, 0.25) {
         Some(sched) => OffloadPolicy::Scheduled(sched),
         None => OffloadPolicy::Always,
     };
@@ -258,7 +269,7 @@ fn engine_decisions_are_reproducible_across_runs() {
     let profile_log = RunLog {
         records: stream(&mut profiler, &data),
     };
-    let policy = match Executor::new(platform).train_scheduler(&profile_log, 0.25) {
+    let policy = match AccelModel::new(platform).train_scheduler(&profile_log, 0.25) {
         Some(sched) => OffloadPolicy::Scheduled(sched),
         None => OffloadPolicy::Always,
     };

@@ -1,23 +1,15 @@
 //! Assembled sensor datasets (frames + IMU + GPS + ground truth).
 //!
-//! The event *model* ([`SensorEvent`], [`ImageEvent`], [`FrameData`],
-//! [`Segment`]) lives in `eudoxus-stream`; this module re-exports it as a
-//! deprecation shim (see the `eudoxus_stream` migration notes) and owns
-//! what is genuinely simulator-side: the [`Dataset`] container and its
-//! replay adapters ([`Dataset::events`] for a flat iterator,
-//! [`Dataset::source`] for a backpressure-aware
-//! [`EventSource`](eudoxus_stream::EventSource)).
+//! The event *model* (`SensorEvent`, `ImageEvent`, `FrameData`,
+//! `Segment`) lives in `eudoxus-stream`; this module owns what is
+//! genuinely simulator-side: the [`Dataset`] container and its replay
+//! adapters ([`Dataset::events`] for a flat iterator, [`Dataset::source`]
+//! for a backpressure-aware [`EventSource`]).
 
-use crate::gps::GpsSample;
-use crate::imu::ImuSample;
 use eudoxus_geometry::{Pose, PoseAnchor, StereoRig, Vec3};
 use eudoxus_stream::source::{EventSource, IterSource, SourcePoll};
+use eudoxus_stream::{FrameData, GpsSample, ImageEvent, ImuSample, Segment, SensorEvent};
 use std::sync::Arc;
-
-// Deprecation shim: these types moved to `eudoxus-stream` so producers
-// need not link the simulator. The re-exports keep historical
-// `eudoxus_sim::dataset::*` paths resolving to the same types.
-pub use eudoxus_stream::event::{FrameData, ImageEvent, Segment, SensorEvent};
 
 /// A complete synthetic dataset: the substitution for KITTI / EuRoC /
 /// the in-house recordings (see DESIGN.md §1).
@@ -248,7 +240,7 @@ impl EventSource for DatasetSource<'_> {
 mod tests {
     use super::*;
     use crate::scenario::{Platform, ScenarioBuilder, ScenarioKind};
-    use crate::Environment;
+    use eudoxus_stream::Environment;
 
     fn tiny(kind: ScenarioKind) -> Dataset {
         ScenarioBuilder::new(kind)

@@ -6,15 +6,10 @@
 //! machine is outdoors, with Gaussian noise plus occasional multipath
 //! glitches of several meters.
 
-use crate::environment::Environment;
 use crate::rng::SimRng;
 use crate::trajectory::Trajectory;
 use eudoxus_geometry::Vec3;
-
-// Deprecation shim: the sample type moved to `eudoxus-stream` (it is part
-// of the wire format live producers speak); the *availability/noise
-// model* below is simulator-side and stays here.
-pub use eudoxus_stream::event::GpsSample;
+use eudoxus_stream::{Environment, GpsSample};
 
 /// GPS availability/noise model.
 #[derive(Debug, Clone, Copy)]

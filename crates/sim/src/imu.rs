@@ -9,14 +9,10 @@
 use crate::rng::SimRng;
 use crate::trajectory::Trajectory;
 use eudoxus_geometry::Vec3;
+use eudoxus_stream::ImuSample;
 
 /// Standard gravity (m/s²), world `-z`.
 pub const GRAVITY: f64 = 9.80665;
-
-// Deprecation shim: the sample type moved to `eudoxus-stream` (it is part
-// of the wire format live producers speak); the *noise model* below is
-// simulator-side and stays here.
-pub use eudoxus_stream::event::ImuSample;
 
 /// IMU noise/bias model and sampling rate.
 ///

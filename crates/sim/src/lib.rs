@@ -26,20 +26,15 @@
 //! assert!(dataset.gps.is_empty(), "no GPS indoors");
 //! ```
 //!
-//! # Migration: the event model moved to `eudoxus-stream`
-//!
-//! `SensorEvent`, `ImageEvent`, `FrameData`, `Segment`, `ImuSample`,
-//! `GpsSample` and `Environment` now live in the leaf `eudoxus-stream`
-//! crate, so live producers can speak the streaming wire format without
-//! linking this simulator. Every historical `eudoxus_sim::…` path keeps
-//! working through the re-exports below (they resolve to the *same*
-//! types), but new code should import from `eudoxus_stream`. What stays
-//! here is genuinely simulator-side: scenario/world/trajectory
-//! generation, the IMU/GPS *noise models*, and [`Dataset`] with its
-//! replay adapters ([`Dataset::events`], [`Dataset::source`]).
+//! The event model (`SensorEvent`, `ImageEvent`, `FrameData`, `Segment`,
+//! `ImuSample`, `GpsSample`, `Environment`) lives in the leaf
+//! `eudoxus-stream` crate, so live producers speak the streaming wire
+//! format without linking this simulator. What lives here is genuinely
+//! simulator-side: scenario/world/trajectory generation, the IMU/GPS
+//! *noise models*, and [`Dataset`] with its replay adapters
+//! ([`Dataset::events`], [`Dataset::source`]).
 
 pub mod dataset;
-pub mod environment;
 pub mod gps;
 pub mod imu;
 pub mod render;
@@ -48,10 +43,9 @@ pub mod scenario;
 pub mod trajectory;
 pub mod world;
 
-pub use dataset::{Dataset, DatasetSource, FrameData, ImageEvent, Segment, SensorEvent};
-pub use environment::Environment;
-pub use gps::{GpsModel, GpsSample};
-pub use imu::{ImuModel, ImuSample};
+pub use dataset::{Dataset, DatasetSource};
+pub use gps::GpsModel;
+pub use imu::ImuModel;
 pub use render::{render_stereo_pair, RenderConfig};
 pub use rng::SimRng;
 pub use scenario::{Platform, ScenarioBuilder, ScenarioKind};

@@ -5,8 +5,7 @@
 //! are 50 % outdoor / 25 % indoor-without-map / 25 % indoor-with-map. The
 //! builder generates the synthetic equivalents at the same resolutions.
 
-use crate::dataset::{Dataset, FrameData, Segment};
-use crate::environment::Environment;
+use crate::dataset::Dataset;
 use crate::gps::GpsModel;
 use crate::imu::ImuModel;
 use crate::render::{render_stereo_pair, RenderConfig};
@@ -14,6 +13,7 @@ use crate::rng::SimRng;
 use crate::trajectory::{CircuitTrajectory, Figure8Trajectory, Trajectory};
 use crate::world::World;
 use eudoxus_geometry::{PinholeCamera, StereoRig};
+use eudoxus_stream::{Environment, FrameData, Segment};
 
 /// Which of the paper's evaluation scenarios to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -2,9 +2,8 @@
 //! IMU synthesis and geometric consistency of the GPS/trajectory models.
 
 use eudoxus_geometry::Vec3;
-use eudoxus_sim::{
-    CircuitTrajectory, Environment, Figure8Trajectory, GpsModel, ImuModel, SimRng, Trajectory,
-};
+use eudoxus_sim::{CircuitTrajectory, Figure8Trajectory, GpsModel, ImuModel, SimRng, Trajectory};
+use eudoxus_stream::Environment;
 use proptest::prelude::*;
 
 proptest! {

@@ -115,18 +115,6 @@
 //! }
 //! assert_eq!(frames, 2);
 //! ```
-//!
-//! # Migration notes
-//!
-//! Before this crate existed, the event model lived in `eudoxus-sim`
-//! (`eudoxus_sim::dataset::{SensorEvent, ImageEvent, FrameData, Segment}`,
-//! `eudoxus_sim::environment::Environment`,
-//! `eudoxus_sim::{imu::ImuSample, gps::GpsSample}`), which forced every
-//! producer to link the whole scenario generator. Those paths still work
-//! — `eudoxus-sim` re-exports everything as a deprecation shim — but new
-//! code should import from `eudoxus_stream` (or the facade's
-//! `eudoxus::stream`). The types are identical, so the two import styles
-//! interoperate freely during migration.
 
 pub mod environment;
 pub mod event;

@@ -158,16 +158,18 @@ impl IngestQueue {
         self.events.iter()
     }
 
-    /// Offers one event, applying the overflow policy when full. Only
-    /// call this from a producer that can actually retry a
-    /// [`Deferred`](Admission::Deferred) event; a caller that would
-    /// discard it must use [`push_or_drop`](IngestQueue::push_or_drop)
-    /// instead so the loss is counted as a loss.
+    /// Offers one event, applying the overflow policy when full. A
+    /// [`Deferred`](Admission::Deferred) event is handed back for the
+    /// producer to retry.
     pub fn offer(&mut self, event: SensorEvent) -> Admission {
         if self.is_full() {
             match self.policy {
                 OverflowPolicy::DropNewest => {
-                    self.count_drop(&event);
+                    if event.is_image() {
+                        self.counters.frames_dropped += 1;
+                    } else {
+                        self.counters.events_dropped += 1;
+                    }
                     Admission::Dropped
                 }
                 OverflowPolicy::Defer => {
@@ -176,37 +178,10 @@ impl IngestQueue {
                 }
             }
         } else {
-            self.admit(event);
+            self.events.push_back(event);
+            self.counters.accepted += 1;
+            self.counters.high_watermark = self.counters.high_watermark.max(self.events.len());
             Admission::Accepted
-        }
-    }
-
-    /// Fire-and-forget admission: when the queue is full the event is
-    /// discarded and counted as a *drop regardless of policy* — a caller
-    /// that cannot hold on to refused events gets no benefit from
-    /// `Defer`, and counting its losses as "deferred" would falsely
-    /// report losslessness. Returns whether the event was queued.
-    pub fn push_or_drop(&mut self, event: SensorEvent) -> bool {
-        if self.is_full() {
-            self.count_drop(&event);
-            false
-        } else {
-            self.admit(event);
-            true
-        }
-    }
-
-    fn admit(&mut self, event: SensorEvent) {
-        self.events.push_back(event);
-        self.counters.accepted += 1;
-        self.counters.high_watermark = self.counters.high_watermark.max(self.events.len());
-    }
-
-    fn count_drop(&mut self, event: &SensorEvent) {
-        if event.is_image() {
-            self.counters.frames_dropped += 1;
-        } else {
-            self.counters.events_dropped += 1;
         }
     }
 
@@ -311,22 +286,6 @@ mod tests {
         q.pop();
         q.pop();
         assert!(matches!(q.offer(imu(10.0)), Admission::Accepted));
-    }
-
-    #[test]
-    fn push_or_drop_counts_losses_as_drops_even_under_defer() {
-        // A fire-and-forget producer cannot retry, so its refused events
-        // are real losses — they must surface in the drop counters, not
-        // hide in "deferred" (which promises losslessness).
-        let mut q = IngestQueue::bounded(1, OverflowPolicy::Defer);
-        assert!(q.push_or_drop(imu(0.0)));
-        assert!(!q.push_or_drop(image(1.0)));
-        assert!(!q.push_or_drop(imu(2.0)));
-        let c = q.counters();
-        assert_eq!(c.deferred, 0);
-        assert_eq!(c.frames_dropped, 1);
-        assert_eq!(c.events_dropped, 1);
-        assert_eq!(c.accepted, 1);
     }
 
     #[test]

@@ -38,12 +38,12 @@ fn main() {
     }
 
     // Accelerated replay on the drone platform.
-    let exec = Executor::new(Platform::edx_drone());
-    let policy = match exec.train_scheduler(&log, 0.25) {
+    let model = AccelModel::new(Platform::edx_drone());
+    let policy = match model.train_scheduler(&log, 0.25) {
         Some(s) => OffloadPolicy::Scheduled(s),
         None => OffloadPolicy::Never,
     };
-    let accel = exec.replay(&log, &policy);
+    let accel = model.replay(&log, &policy);
     let acc_summary = accel.summary();
     println!("\nEDX-DRONE accelerated (modeled):");
     println!(
@@ -60,8 +60,8 @@ fn main() {
     );
     println!(
         "  energy {:.2} J -> {:.2} J per frame ({:.0}% reduction)",
-        exec.baseline_energy(&log),
+        model.baseline_energy(&log),
         accel.mean_energy(),
-        (1.0 - accel.mean_energy() / exec.baseline_energy(&log)) * 100.0
+        (1.0 - accel.mean_energy() / model.baseline_energy(&log)) * 100.0
     );
 }

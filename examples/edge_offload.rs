@@ -40,8 +40,8 @@ fn main() {
     // regressions, exactly as in `offload_decision.rs`.
     let mut profiler = SessionBuilder::new(PipelineConfig::anchored()).build_batch();
     let profile_log = profiler.process_dataset(&dataset);
-    let exec = Executor::new(Platform::edx_drone());
-    let policy = match exec.train_scheduler(&profile_log, 1.0) {
+    let model = AccelModel::new(Platform::edx_drone());
+    let policy = match model.train_scheduler(&profile_log, 1.0) {
         Some(sched) => OffloadPolicy::Scheduled(sched),
         None => OffloadPolicy::Always,
     };

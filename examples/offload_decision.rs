@@ -31,12 +31,12 @@ fn main() {
     // (the paper profiles offline, then deploys the trained scheduler).
     let mut profiler = SessionBuilder::new(PipelineConfig::anchored()).build_batch();
     let profile_log = profiler.process_dataset(&dataset);
-    let exec = Executor::new(Platform::edx_drone());
-    let policy = match exec.train_scheduler(&profile_log, 1.0) {
+    let model = AccelModel::new(Platform::edx_drone());
+    let policy = match model.train_scheduler(&profile_log, 1.0) {
         Some(sched) => {
             println!(
                 "scheduler trained on {} kernel samples from the profiling pass",
-                exec.training_samples(&profile_log, 1.0).len()
+                model.training_samples(&profile_log, 1.0).len()
             );
             OffloadPolicy::Scheduled(sched)
         }
@@ -111,11 +111,11 @@ fn main() {
         "offload rate {:.0}% | modeled energy {:.2} J vs {:.2} J CPU-baseline per frame",
         accel.offload_rate() * 100.0,
         accel.mean_energy(),
-        exec.baseline_energy(&log),
+        model.baseline_energy(&log),
     );
     // What ignoring the scheduler would cost: force every offloadable
     // kernel onto the fabric over the same log.
-    let forced = exec.replay(&log, &OffloadPolicy::Always);
+    let forced = model.replay(&log, &OffloadPolicy::Always);
     println!(
         "forced always-offload:   {:>6.1} ms mean — the in-loop decision is never slower",
         forced.summary().mean

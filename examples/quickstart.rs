@@ -74,12 +74,12 @@ fn main() {
     // at construction time instead — see examples/offload_decision.rs:
     // `SessionBuilder::new(cfg).engine(ScheduledEngine::new(..))`.)
     println!("\nreplaying through the EDX-CAR accelerator model…");
-    let exec = Executor::new(Platform::edx_car());
-    let policy = match exec.train_scheduler(&log, 0.25) {
+    let model = AccelModel::new(Platform::edx_car());
+    let policy = match model.train_scheduler(&log, 0.25) {
         Some(s) => OffloadPolicy::Scheduled(s),
         None => OffloadPolicy::Always,
     };
-    let accel = exec.replay(&log, &policy);
+    let accel = model.replay(&log, &policy);
     println!(
         "  accelerated:       {:.1} ms mean ({:.1} FPS unpipelined, {:.1} FPS pipelined)",
         accel.summary().mean,
@@ -89,7 +89,7 @@ fn main() {
     println!(
         "  speedup:           {:.2}x   energy: {:.2} J -> {:.2} J per frame",
         summary.mean / accel.summary().mean,
-        exec.baseline_energy(&log),
+        model.baseline_energy(&log),
         accel.mean_energy()
     );
 }

@@ -114,7 +114,7 @@ fn slice_dataset(d: &Dataset, from: usize, to: usize) -> Dataset {
             s
         })
         .collect();
-    out.segments = vec![eudoxus_sim::dataset::Segment {
+    out.segments = vec![eudoxus_stream::Segment {
         start_frame: 0,
         environment: d.frames[from].environment,
     }];

@@ -5,8 +5,8 @@
 //!
 //! * the [`proptest!`] macro with an optional
 //!   `#![proptest_config(ProptestConfig::with_cases(n))]` header;
-//! * [`Strategy`] implemented for numeric `Range`s, tuples of strategies,
-//!   [`strategy::Just`], and [`collection::vec`];
+//! * [`Strategy`](strategy::Strategy) implemented for numeric `Range`s,
+//!   tuples of strategies, [`strategy::Just`], and [`collection::vec`];
 //! * `prop_map` composition and `any::<T>()`;
 //! * `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!` /
 //!   `prop_assume!`.
@@ -222,7 +222,7 @@ pub mod collection {
     use rand::SampleUniform;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -72,14 +72,9 @@
 //! }
 //! ```
 //!
-//! Since the streaming redesign, `Eudoxus` no longer exposes concrete
-//! estimator fields — backends are registered behind the
-//! [`Backend`](eudoxus_backend::Backend) trait; and since the in-loop
-//! offload redesign the old constructors
-//! (`LocalizationSession::new`/`with_registry`/`with_map`,
-//! `Eudoxus::new`/`with_map`, the lossy `SessionManager::enqueue`) are
-//! deprecated shims over the builder (see the `eudoxus_core` module
-//! docs for the migration table).
+//! Estimators are registered behind the
+//! [`Backend`](eudoxus_backend::Backend) trait, so a custom one slots in
+//! with `SessionBuilder::backend(..)`.
 //!
 //! Many-agent ingestion goes through `eudoxus_stream`: one
 //! [`EventSource`](eudoxus_stream::EventSource) per agent (live producer
@@ -111,8 +106,7 @@
 //!
 //! The event model itself (`SensorEvent`, `Environment`, …) lives in the
 //! leaf `eudoxus-stream` crate — producers link it without pulling in
-//! the simulator; `eudoxus_sim` re-exports the same types as a
-//! migration shim.
+//! the simulator.
 //!
 //! # Edge offload over a modeled link
 //!
@@ -124,7 +118,8 @@
 //! bus arithmetic bit for bit, while seeded `StochasticLink` profiles
 //! (`lan_stable`, `congested_uplink`, `urban_canyon_dropout`) model a
 //! *remote* accelerator behind a degrading channel. Attach one with
-//! `SessionBuilder::link(..)` and the [`ScheduledEngine`] re-prices
+//! `SessionBuilder::link(..)` and the
+//! [`ScheduledEngine`](eudoxus_core::ScheduledEngine) re-prices
 //! every offloadable kernel against live link state each frame, falling
 //! back to pure CPU when the link drops the frame or the modeled round
 //! trip would blow `SessionBuilder::deadline_ms(..)`:
@@ -334,13 +329,12 @@ pub use eudoxus_vocab as vocab;
 pub mod prelude {
     pub use eudoxus_accel::{Platform, PlatformKind};
     pub use eudoxus_backend::{Backend, BackendMode, WorldMap};
-    pub use eudoxus_core::executor::{Executor, OffloadPolicy};
     pub use eudoxus_core::{
-        build_map, AdmissionConfig, AdmissionStats, CpuEngine, DegradationState, Enqueue, Eudoxus,
-        ExecutionEngine, ExecutionReport, FallbackCause, FrameDirective, HealthConfig,
-        HealthReport, IngestReport, LinkStats, LocalizationSession, Mode, ModeledAccelEngine,
-        PipelineConfig, RunLog, ScheduledEngine, SessionBuilder, SessionHealthStats,
-        SessionManager, Summary, ThrottleConfig, ThrottleStats,
+        build_map, AccelModel, AdmissionConfig, AdmissionStats, CpuEngine, DegradationState,
+        Enqueue, Eudoxus, ExecutionEngine, ExecutionReport, FallbackCause, FrameDirective,
+        HealthConfig, HealthReport, IngestReport, LinkStats, LocalizationSession, Mode,
+        ModeledAccelEngine, OffloadPolicy, PipelineConfig, RunLog, ScheduledEngine, SessionBuilder,
+        SessionHealthStats, SessionManager, Summary, ThrottleConfig, ThrottleStats,
     };
     pub use eudoxus_faults::{FaultInjector, FaultPlan, FaultProfile};
     pub use eudoxus_frontend::{Frontend, FrontendConfig};

@@ -1,4 +1,4 @@
-//! Integration tests of the accelerated executor: measured CPU run →
+//! Integration tests of accelerated replay: measured CPU run →
 //! scheduler training → accelerated replay, checking the paper's headline
 //! relationships (speedup, variance reduction, energy reduction, scheduler
 //! vs oracle).
@@ -20,12 +20,12 @@ fn measured_log(frames: usize) -> RunLog {
 #[test]
 fn accelerated_run_beats_baseline_latency_and_energy() {
     let log = measured_log(10);
-    let exec = Executor::new(Platform::edx_drone());
-    let policy = match exec.train_scheduler(&log, 0.25) {
+    let model = AccelModel::new(Platform::edx_drone());
+    let policy = match model.train_scheduler(&log, 0.25) {
         Some(s) => OffloadPolicy::Scheduled(s),
         None => OffloadPolicy::Always,
     };
-    let run = exec.replay(&log, &policy);
+    let run = model.replay(&log, &policy);
     let baseline = log.latency_summary(None);
     let accel = run.summary();
     assert!(
@@ -34,7 +34,7 @@ fn accelerated_run_beats_baseline_latency_and_energy() {
         accel.mean,
         baseline.mean
     );
-    assert!(run.mean_energy() < exec.baseline_energy(&log));
+    assert!(run.mean_energy() < model.baseline_energy(&log));
     // Pipelining must help throughput (paper Fig. 18).
     assert!(run.fps_pipelined() >= run.fps_unpipelined());
 }
@@ -62,12 +62,12 @@ fn scheduler_matches_oracle_on_real_measurements() {
     // Paper Sec. VII-F: the runtime scheduler achieves almost the same
     // speedup as an oracle. Verify decision agreement on the held-out 75%.
     let log = measured_log(14);
-    let exec = Executor::new(Platform::edx_drone());
-    let samples = exec.training_samples(&log, 0.25);
+    let model = AccelModel::new(Platform::edx_drone());
+    let samples = model.training_samples(&log, 0.25);
     let Some(sched) = RuntimeScheduler::train(&samples) else {
         return; // too few offloadable kernels in a short run
     };
-    let eval = exec.training_samples(&log, 1.0);
+    let eval = model.training_samples(&log, 1.0);
     let mut agree = 0usize;
     let mut total = 0usize;
     for s in &eval {
@@ -86,9 +86,9 @@ fn scheduler_matches_oracle_on_real_measurements() {
                 }
             }
         };
-        let scheduled = sched.decide(exec.backend_engine(), &dims).is_offload();
+        let scheduled = sched.decide(model.backend_engine(), &dims).is_offload();
         let oracle =
-            RuntimeScheduler::oracle_decide(exec.backend_engine(), &dims, s.cpu_millis)
+            RuntimeScheduler::oracle_decide(model.backend_engine(), &dims, s.cpu_millis)
                 .is_offload();
         total += 1;
         if scheduled == oracle {
@@ -106,9 +106,9 @@ fn variance_reduction_from_backend_offload() {
     // Accelerating the variation-heavy kernels must not increase the
     // latency SD (paper: 43–58 % SD reduction).
     let log = measured_log(12);
-    let exec = Executor::new(Platform::edx_drone());
-    let never = exec.replay(&log, &OffloadPolicy::Never);
-    let always = exec.replay(&log, &OffloadPolicy::Always);
+    let model = AccelModel::new(Platform::edx_drone());
+    let never = model.replay(&log, &OffloadPolicy::Never);
+    let always = model.replay(&log, &OffloadPolicy::Always);
     // With all variation kernels on the deterministic engine, the backend
     // part of the variance shrinks.
     let sd_never = Summary::of(
