@@ -16,10 +16,11 @@
 
 use eudoxus_frontend::fast::CIRCLE;
 use eudoxus_frontend::{
-    compute_orb, match_stereo, FastConfig, Feature, FrameStats, FrontendConfig, FrontendFrame,
-    FrontendTiming, KeyPoint, KltConfig, Observation, TrackOutcome,
+    match_stereo, FastConfig, Feature, FrameStats, FrontendConfig, FrontendFrame, FrontendTiming,
+    KeyPoint, KltConfig, Observation, OrbConfig, OrbDescriptor, TrackOutcome,
 };
 use eudoxus_image::{FloatImage, GrayImage, Pyramid};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Minimum contiguous arc length for the segment test (FAST-9).
@@ -204,6 +205,100 @@ fn sample_bilinear_baseline(img: &GrayImage, x: f32, y: f32) -> f32 {
     let p01 = img.get_clamped(x0, y0 + 1) as f32;
     let p11 = img.get_clamped(x0 + 1, y0 + 1) as f32;
     p00 * (1.0 - fx) * (1.0 - fy) + p10 * fx * (1.0 - fy) + p01 * (1.0 - fx) * fy + p11 * fx * fy
+}
+
+/// Patch half-size of the seed ORB (orientation and border margin).
+const ORB_PATCH_RADIUS: i64 = 9;
+/// Radius that bounds the seed ORB's sampling offsets.
+const ORB_SAMPLE_RADIUS: f32 = 8.0;
+
+/// Seed ORB comparison pattern: 256 pairs from a fixed-seed xorshift64*
+/// stream, generated once.
+fn orb_pattern_baseline() -> &'static [((f32, f32), (f32, f32)); 256] {
+    static PATTERN: OnceLock<[((f32, f32), (f32, f32)); 256]> = OnceLock::new();
+    PATTERN.get_or_init(|| {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state = state.wrapping_mul(0x2545F4914F6CDD1D);
+            (state >> 11) as f32 / (1u64 << 53) as f32 * 2.0 - 1.0
+        };
+        let mut pairs = [((0.0f32, 0.0f32), (0.0f32, 0.0f32)); 256];
+        for pair in &mut pairs {
+            let mut g = || (next() + next() + next()) / 3.0 * ORB_SAMPLE_RADIUS;
+            loop {
+                let a = (g(), g());
+                let b = (g(), g());
+                let r2 = ORB_SAMPLE_RADIUS * ORB_SAMPLE_RADIUS;
+                if a.0 * a.0 + a.1 * a.1 <= r2 && b.0 * b.0 + b.1 * b.1 <= r2 {
+                    *pair = (a, b);
+                    break;
+                }
+            }
+        }
+        pairs
+    })
+}
+
+/// Seed intensity-centroid orientation: every offset of the square,
+/// masked to the circle, read through `get_clamped`.
+fn patch_orientation_baseline(img: &GrayImage, cx: i64, cy: i64) -> f32 {
+    let r = ORB_PATCH_RADIUS;
+    let mut m01 = 0.0f64;
+    let mut m10 = 0.0f64;
+    for dy in -r..=r {
+        for dx in -r..=r {
+            if dx * dx + dy * dy > r * r {
+                continue;
+            }
+            let v = img.get_clamped(cx + dx, cy + dy) as f64;
+            m10 += dx as f64 * v;
+            m01 += dy as f64 * v;
+        }
+    }
+    (m01.atan2(m10)) as f32
+}
+
+/// Seed ORB descriptor: intensity-centroid orientation, then 256
+/// rotated-BRIEF tests, each sampling both points through the seed
+/// bilinear sample (four `get_clamped` taps). `None` within
+/// `ORB_PATCH_RADIUS + 1` of the border.
+pub fn compute_orb_baseline(
+    img: &GrayImage,
+    kp: &KeyPoint,
+    cfg: &OrbConfig,
+) -> Option<OrbDescriptor> {
+    let (w, h) = img.dimensions();
+    let cx = kp.x.round() as i64;
+    let cy = kp.y.round() as i64;
+    let margin = ORB_PATCH_RADIUS + 1;
+    if cx < margin || cy < margin || cx >= w as i64 - margin || cy >= h as i64 - margin {
+        return None;
+    }
+    let (sin_t, cos_t) = if cfg.oriented {
+        patch_orientation_baseline(img, cx, cy).sin_cos()
+    } else {
+        (0.0, 1.0)
+    };
+    let mut desc = OrbDescriptor::zero();
+    for (i, &((ax, ay), (bx, by))) in orb_pattern_baseline().iter().enumerate() {
+        let ra = (
+            (cos_t * ax - sin_t * ay) + kp.x,
+            (sin_t * ax + cos_t * ay) + kp.y,
+        );
+        let rb = (
+            (cos_t * bx - sin_t * by) + kp.x,
+            (sin_t * bx + cos_t * by) + kp.y,
+        );
+        let va = sample_bilinear_baseline(img, ra.0, ra.1);
+        let vb = sample_bilinear_baseline(img, rb.0, rb.1);
+        if va < vb {
+            desc.set_bit(i);
+        }
+    }
+    Some(desc)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -406,7 +501,7 @@ impl BaselineFrontend {
         let feats_left: Vec<Feature> = kps_left
             .iter()
             .filter_map(|kp| {
-                compute_orb(&left_blur, kp, &cfg.orb).map(|descriptor| Feature {
+                compute_orb_baseline(&left_blur, kp, &cfg.orb).map(|descriptor| Feature {
                     keypoint: *kp,
                     descriptor,
                 })
@@ -415,7 +510,7 @@ impl BaselineFrontend {
         let feats_right: Vec<Feature> = kps_right
             .iter()
             .filter_map(|kp| {
-                compute_orb(&right_blur, kp, &cfg.orb).map(|descriptor| Feature {
+                compute_orb_baseline(&right_blur, kp, &cfg.orb).map(|descriptor| Feature {
                     keypoint: *kp,
                     descriptor,
                 })
@@ -485,7 +580,7 @@ impl BaselineFrontend {
                 }
                 None => {
                     let kp = KeyPoint::new(tx, ty, 0.0);
-                    match compute_orb(&left_blur, &kp, &cfg.orb) {
+                    match compute_orb_baseline(&left_blur, &kp, &cfg.orb) {
                         Some(descriptor) => {
                             observations.push(Observation {
                                 track_id: track.id,

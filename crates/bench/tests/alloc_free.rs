@@ -1,9 +1,11 @@
 //! Counting-allocator proof of the allocation-free steady state: after
 //! one warm-up call, the scratch-reused kernels (blur, FAST, pyramid
-//! rebuild, KLT) perform zero heap allocations, a warm
+//! rebuild, KLT, ORB) perform zero heap allocations, a warm
 //! `Frontend::process` allocates far less than a cold one, and the
 //! telemetry recording path (`SpanRing::record`, `Histogram::record`,
 //! the full `TelemetryHub::record` round trip) allocates nothing at all.
+//! The KLT and ORB checks go through the public API, so they prove
+//! whichever kernels the host selects: the AVX2 ones on AVX2 hosts.
 //!
 //! The counting allocator is global to this test binary, so everything
 //! runs inside a single `#[test]` — parallel test threads would otherwise
@@ -11,8 +13,8 @@
 
 use eudoxus_bench::alloc_track::{allocations, CountingAllocator};
 use eudoxus_frontend::{
-    detect_fast_into, track_pyramidal_into, FastConfig, FastScratch, Frontend, FrontendConfig,
-    KltConfig, KltScratch, KLT_LANES,
+    compute_orb, detect_fast_into, track_pyramidal_into, FastConfig, FastScratch, Frontend,
+    FrontendConfig, KltConfig, KltScratch, OrbConfig, KLT_LANES,
 };
 use eudoxus_image::{gaussian_blur_into, FilterScratch, GrayImage, Pyramid};
 use eudoxus_sim::{Platform, ScenarioBuilder, ScenarioKind};
@@ -85,6 +87,46 @@ fn steady_state_kernels_are_allocation_free() {
         });
         assert_eq!(d, 0, "warm batched KLT with {count} tracks allocated {d} times");
     }
+    // The widest window the kernels are tested at: the DC sample grid
+    // and the window buffers grow on the warm-up call, then stay warm.
+    let wide = KltConfig {
+        window_radius: 10,
+        ..klt_cfg
+    };
+    track_pyramidal_into(
+        &prev_pyr,
+        &next_pyr,
+        &points,
+        &wide,
+        &mut klt,
+        &mut outcomes,
+    );
+    let d = alloc_delta(|| {
+        track_pyramidal_into(
+            &prev_pyr,
+            &next_pyr,
+            &points,
+            &wide,
+            &mut klt,
+            &mut outcomes,
+        )
+    });
+    assert_eq!(d, 0, "warm radius-10 KLT allocated {d} times");
+
+    // ORB descriptors (the FC task): the pattern tables are built on
+    // first use and every descriptor is a stack value.
+    let orb_cfg = OrbConfig::default();
+    let described = kps
+        .iter()
+        .filter_map(|k| compute_orb(&blurred, k, &orb_cfg))
+        .count();
+    assert!(described > 0, "rendered frame must yield descriptors");
+    let d = alloc_delta(|| {
+        for k in &kps {
+            std::hint::black_box(compute_orb(&blurred, k, &orb_cfg));
+        }
+    });
+    assert_eq!(d, 0, "warm compute_orb allocated {d} times");
 
     // Full frontend: response maps, blur buffers and pyramids no longer
     // allocate, so a warm frame must cost a small fraction of the cold

@@ -10,11 +10,12 @@
 
 use eudoxus_bench::assert_outcomes_bit_identical;
 use eudoxus_bench::baseline::{
-    detect_fast_baseline, gaussian_blur_baseline, track_pyramidal_baseline, BaselineFrontend,
+    compute_orb_baseline, detect_fast_baseline, gaussian_blur_baseline, track_pyramidal_baseline,
+    BaselineFrontend,
 };
 use eudoxus_frontend::{
-    detect_fast_into, track_pyramidal_into, FastConfig, FastScratch, Frontend, FrontendConfig,
-    KltConfig, KltScratch, KLT_LANES,
+    compute_orb, detect_fast_into, track_pyramidal_into, FastConfig, FastScratch, Frontend,
+    FrontendConfig, KeyPoint, KltConfig, KltScratch, OrbConfig, KLT_LANES,
 };
 use eudoxus_image::{gaussian_blur_into, FilterScratch, GrayImage, Pyramid};
 use eudoxus_sim::{Dataset, Platform, ScenarioBuilder, ScenarioKind};
@@ -67,6 +68,60 @@ fn fast_kernel_matches_seed_bitwise() {
                 assert_eq!(a.response.to_bits(), b.response.to_bits());
             }
         }
+    }
+}
+
+#[test]
+fn orb_kernel_matches_seed_bitwise() {
+    // Descriptors on the blurred frames of every scenario kind, oriented
+    // and plain, at the detector's integer corners and at sub-pixel
+    // positions like the LK-tracked points the association loop
+    // describes — including ones whose rounded centre sits on the
+    // border margin.
+    for kind in KINDS {
+        let data = dataset(kind, 2);
+        let frame = &data.frames[1];
+        let blurred = gaussian_blur_baseline(&frame.left, 1.2);
+        let corners = detect_fast_baseline(&frame.left, &FastConfig::default());
+        assert!(corners.len() > 50, "{kind:?}: too few corners");
+        let mut points: Vec<KeyPoint> = corners.iter().take(150).copied().collect();
+        points.extend(corners.iter().take(150).enumerate().map(|(i, k)| {
+            let fi = i as f32;
+            KeyPoint::new(
+                k.x + (fi * 0.618).fract() - 0.5,
+                k.y - (fi * 0.414).fract() + 0.3,
+                0.0,
+            )
+        }));
+        let (w, h) = (blurred.width() as f32, blurred.height() as f32);
+        for (x, y) in [
+            (9.5, 40.25),
+            (10.49, 11.7),
+            (w - 10.51, h - 10.6),
+            (w * 0.5, h - 10.5),
+        ] {
+            points.push(KeyPoint::new(x, y, 0.0));
+        }
+        let mut described = 0;
+        for oriented in [true, false] {
+            let cfg = OrbConfig { oriented };
+            for kp in &points {
+                let seed = compute_orb_baseline(&blurred, kp, &cfg);
+                let live = compute_orb(&blurred, kp, &cfg);
+                assert_eq!(
+                    seed.map(|d| *d.words()),
+                    live.map(|d| *d.words()),
+                    "{kind:?} oriented={oriented} at ({}, {})",
+                    kp.x,
+                    kp.y
+                );
+                described += usize::from(seed.is_some());
+            }
+        }
+        assert!(
+            described > points.len(),
+            "{kind:?}: most points must be described"
+        );
     }
 }
 

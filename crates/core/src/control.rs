@@ -9,7 +9,7 @@
 //!   exceeds the deadline for `enter_frames` consecutive frames, it
 //!   issues a [`FrameDirective`] that the session applies to the
 //!   frontend on the *next* frame (shrunken feature budget, shallower
-//!   pyramid, optionally the scalar KLT datapath). Severity is
+//!   pyramid). Severity is
 //!   *graded*: the controller carries a three-rung ladder of
 //!   directives and enters at the rung matching how badly the period
 //!   overshoots the deadline (`level2_ratio` / `level3_ratio`). While
@@ -526,7 +526,6 @@ mod tests {
             max_keypoints: 99,
             max_tracks: 50,
             max_pyramid_levels: 1,
-            scalar_klt: true,
         };
         let mut tc = ThrottleController::new(ThrottleConfig::new(10.0).with_directive(fixed));
         tc.observe(30.0);

@@ -182,9 +182,8 @@
 //!   exceeds `deadline_ms` for `enter_frames` consecutive frames it
 //!   issues a [`FrameDirective`] that the frontend applies on the
 //!   *next* frame — a shrunken feature budget (`max_keypoints`,
-//!   `max_tracks`), a shallower pyramid, optionally the scalar KLT
-//!   datapath. Directive caps only ever *shrink* the configured
-//!   budget. The directive stays in force until the raw modeled period
+//!   `max_tracks`) and a shallower pyramid. Directive caps only ever
+//!   *shrink* the configured budget. The directive stays in force until the raw modeled period
 //!   drops below `exit_margin × min(throttled baseline, deadline)` for
 //!   `exit_frames` consecutive frames; on constant load the throttled
 //!   period equals its own baseline and never clears that margin, so

@@ -292,7 +292,6 @@ fn control_binding_deadline_throttles_and_steers() {
         max_keypoints: 50,
         max_tracks: 30,
         max_pyramid_levels: 2,
-        scalar_klt: false,
     };
     let data = dataset(ScenarioKind::OutdoorUnknown, 24, 5);
     let mut session = SessionBuilder::new(PipelineConfig::anchored())

@@ -15,38 +15,51 @@
 //! the structure: [`track_pyramidal_into`] solves tracks in batches of
 //! [`KLT_LANES`], holding per-track state (positions, 2×2 normal matrices,
 //! residuals, convergence masks) as parallel SoA arrays in a `TrackBatch`
-//! inside [`KltScratch`]. Each LSS iteration gathers the search windows of
-//! all lanes from the shared f32 plane with a row-hoisted bilinear gather
-//! (`eudoxus_image::RowGather`) and updates the lane accumulators in a
-//! fixed-width unrolled inner loop. Per-lane arithmetic is exactly the
-//! scalar sequence, so the batch is **bit-identical** to solving each
-//! track alone — lanes only add independent instruction-level
-//! parallelism where the scalar solve serializes on its `f32` accumulator
-//! chains.
+//! inside [`KltScratch`]. Per-lane arithmetic is exactly the scalar
+//! sequence, so the batch is **bit-identical** to solving each track
+//! alone.
+//!
+//! **Kernels**: on x86-64 hosts that report AVX2 (checked at run time),
+//! the DC and LSS phases run `std::arch` kernels in which one 256-bit
+//! vector holds the eight lanes: masked gathers sample every lane's
+//! window at once. Every lane runs the scalar operation sequence — `mul`
+//! and `add` stay separate (no FMA), sums keep the scalar order, and the
+//! truncating cast appears only where the interior proof gives `x ≥ 0`.
+//! Elsewhere the portable batch runs the lanes one after another: a
+//! row-hoisted bilinear gather (`eudoxus_image::RowGather`) and a
+//! fixed-width unrolled inner loop give the core eight independent `f32`
+//! accumulator chains where the scalar solve serializes on one.
 //!
 //! **Masking contract**: a lane that converges (update norm below
 //! `epsilon`) or goes degenerate (determinant test) stops updating its
-//! state but *stays in the batch* — it is not compacted out; the
-//! per-lane mask simply skips its gather and its update, so a batch
-//! performs exactly the scalar solve's total sample count (not
-//! `lanes × max(iterations)`). The mask is loop-invariant within one
-//! iteration, so the skip branch predicts perfectly. The iteration loop
-//! ends when every lane is masked or `max_iterations` is reached.
+//! state but *stays in the batch* — it is not compacted out. The
+//! portable batch skips its gather and its update, so a batch performs
+//! exactly the scalar solve's total sample count (not
+//! `lanes × max(iterations)`). The AVX2 kernels skip its gathers but
+//! still spend its vector slot. The iteration loop ends when every lane
+//! is masked or `max_iterations` is reached.
 //!
 //! **Scalar fallback**: [`track_one`]/[`track_one_with`] run the original
-//! scalar solve (one track, no lanes); inside the batch, any window row
-//! whose lanes are not all interior falls back to the per-lane clamped
-//! sampler for that row (bit-identical by construction). The seed solve
-//! itself is preserved verbatim in `eudoxus_bench::baseline` as the
-//! golden reference.
+//! scalar solve (one track, no lanes). Inside the batch, a lane whose
+//! window row is not provably interior runs that row on the per-lane
+//! clamped sampler, and on AVX2 a lane whose DC grid is not interior, or
+//! whose `±1` exactness proof fails, runs the scalar DC (bit-identical by
+//! construction). The seed solve itself is preserved verbatim in
+//! `eudoxus_bench::baseline` as the golden reference.
 
+use crate::isa::Isa;
 use eudoxus_image::{FloatImage, GrayImage, Pyramid, RowGather, RowSampler};
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Lane width of the batched KLT solve: tracks are solved
 /// [`KLT_LANES`] at a time with SoA state. Eight `f32` lanes fill one
-/// 256-bit vector register and, more importantly on scalar targets, give
-/// the out-of-order core eight independent accumulator chains where the
-/// per-track solve has one.
+/// 256-bit vector register: on AVX2 hosts each vector instruction of the
+/// DC and LSS kernels advances all eight tracks. The portable path runs
+/// the lanes one after another, which still gives the out-of-order core
+/// eight independent accumulator chains where the per-track solve has
+/// one.
 pub const KLT_LANES: usize = 8;
 
 /// LK tracker parameters.
@@ -149,6 +162,10 @@ struct TrackBatch {
     grad_y: Vec<f32>,
     /// Lane-interleaved per-column sample x positions (`px + dx`).
     txs: Vec<f32>,
+    /// Lane-interleaved extended `(w+2)²` sample grid of the AVX2 DC
+    /// kernel (the batched form of `KltScratch::samples`).
+    #[cfg(target_arch = "x86_64")]
+    grid: Vec<f32>,
 }
 
 /// Reusable state for the LK solve: per-track window buffers (scalar
@@ -417,8 +434,8 @@ fn track_level(
 /// discarded anyway, and skipping keeps the batch's total sample count
 /// equal to the scalar solve's instead of `lanes × max(iterations)`.
 /// The fast path requires every *active* lane's sample run on the
-/// current window row to be interior; rows that fail fall back to the
-/// per-lane clamped sampler — the scalar row structure, verbatim.
+/// current window row to be interior; rows that fail fall back to
+/// [`lss_lane_row`] for every active lane.
 fn lss_batch_iteration(
     next: &FloatImage,
     b: &TrackBatch,
@@ -516,37 +533,48 @@ fn lss_batch_iteration(
                 }
             }
         } else {
-            // Per-lane scalar fallback row, identical to the seed row
-            // structure (interior runs unchecked, borders clamped).
             for l in 0..KLT_LANES {
-                if !active[l] {
-                    continue;
-                }
-                let s = RowSampler::new(next, ys[l]);
-                let x_first = txs[l] + gx[l];
-                let x_last = txs[(w - 1) * KLT_LANES + l] + gx[l];
-                if s.run_interior(x_first, x_last) {
-                    for col in 0..w {
-                        let pix = (base + col) * KLT_LANES + l;
-                        let xv = txs[col * KLT_LANES + l] + gx[l];
-                        // SAFETY: run_interior proved the whole run.
-                        let it = unsafe { s.sample_interior(xv) } - tmpl[pix];
-                        b1[l] += it * gradx[pix];
-                        b2[l] += it * grady[pix];
-                        res[l] += it.abs();
-                    }
-                } else {
-                    for col in 0..w {
-                        let pix = (base + col) * KLT_LANES + l;
-                        let xv = txs[col * KLT_LANES + l] + gx[l];
-                        let it = s.sample(xv) - tmpl[pix];
-                        b1[l] += it * gradx[pix];
-                        b2[l] += it * grady[pix];
-                        res[l] += it.abs();
-                    }
+                if active[l] {
+                    (b1[l], b2[l], res[l]) =
+                        lss_lane_row(next, b, l, row, ys[l], w, (b1[l], b2[l], res[l]));
                 }
             }
         }
+    }
+    (b1, b2, res)
+}
+
+/// Window row `row` (at height `y`) of lane `l` on the per-lane clamped
+/// sampler, added to the lane's running sums `(b1, b2, res)`: the seed
+/// row structure verbatim (interior runs unchecked, borders clamped).
+/// The border fallback of both batched LSS kernels.
+fn lss_lane_row(
+    next: &FloatImage,
+    b: &TrackBatch,
+    l: usize,
+    row: usize,
+    y: f32,
+    w: usize,
+    (mut b1, mut b2, mut res): (f32, f32, f32),
+) -> (f32, f32, f32) {
+    let s = RowSampler::new(next, y);
+    let gx = b.gx[l];
+    let x_first = b.txs[l] + gx;
+    let x_last = b.txs[(w - 1) * KLT_LANES + l] + gx;
+    let interior = s.run_interior(x_first, x_last);
+    for col in 0..w {
+        let pix = (row * w + col) * KLT_LANES + l;
+        let xv = b.txs[col * KLT_LANES + l] + gx;
+        let sv = if interior {
+            // SAFETY: run_interior proved the whole run.
+            unsafe { s.sample_interior(xv) }
+        } else {
+            s.sample(xv)
+        };
+        let it = sv - b.template[pix];
+        b1 += it * b.grad_x[pix];
+        b2 += it * b.grad_y[pix];
+        res += it.abs();
     }
     (b1, b2, res)
 }
@@ -559,7 +587,8 @@ fn lss_batch_iteration(
 /// [`track_one_planes`]; lanes beyond `pts.len()` are padding (dead from
 /// the start) and lanes that fail the determinant test die in place.
 /// Dead and converged lanes stay resident in the batch but are masked
-/// out of every gather and update.
+/// out of every gather and update. `isa` picks the DC and LSS kernels;
+/// every choice gives the same bits.
 fn track_batch_planes(
     prev: &[FloatImage],
     next: &[FloatImage],
@@ -567,6 +596,7 @@ fn track_batch_planes(
     cfg: &KltConfig,
     scratch: &mut KltScratch,
     out: &mut Vec<TrackOutcome>,
+    isa: Isa,
 ) {
     debug_assert!(!pts.is_empty() && pts.len() <= KLT_LANES);
     let n = pts.len();
@@ -608,25 +638,36 @@ fn track_batch_planes(
             // never sampled.
         }
 
-        // DC micro-kernel per live lane.
+        // DC phase: the AVX2 kernel solves every live lane it can prove
+        // (interior grid, exact ±1 taps) and returns their bit mask;
+        // `dc_window` solves the rest.
+        let solved: u32 = match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2(avx2) => avx2::dc_lanes(avx2, prev_p, r, b),
+            Isa::Portable => 0,
+        };
         for l in 0..KLT_LANES {
             if !b.live[l] {
                 continue;
             }
-            let (a11, a12, a22) = dc_window(
-                prev_p,
-                b.px[l],
-                b.py[l],
-                r,
-                &mut scratch.samples,
-                &mut scratch.exact_x,
-                &mut b.template,
-                &mut b.grad_x,
-                &mut b.grad_y,
-                &mut b.txs,
-                KLT_LANES,
-                l,
-            );
+            let (a11, a12, a22) = if solved & (1 << l) != 0 {
+                (b.a11[l], b.a12[l], b.a22[l])
+            } else {
+                dc_window(
+                    prev_p,
+                    b.px[l],
+                    b.py[l],
+                    r,
+                    &mut scratch.samples,
+                    &mut scratch.exact_x,
+                    &mut b.template,
+                    &mut b.grad_x,
+                    &mut b.grad_y,
+                    &mut b.txs,
+                    KLT_LANES,
+                    l,
+                )
+            };
             let det = a11 * a22 - a12 * a12;
             if det < cfg.min_determinant * n_px * n_px {
                 // Scalar path stops this track at the first degenerate
@@ -647,7 +688,11 @@ fn track_batch_planes(
             if !b.iterating.contains(&true) {
                 break;
             }
-            let (b1, b2, res) = lss_batch_iteration(next_p, b, w, r);
+            let (b1, b2, res) = match isa {
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2(avx2) => avx2::lss_iteration(avx2, next_p, b, w, r),
+                Isa::Portable => lss_batch_iteration(next_p, b, w, r),
+            };
             for l in 0..KLT_LANES {
                 if !b.iterating[l] {
                     continue;
@@ -737,32 +782,18 @@ pub fn track_pyramidal_into(
     scratch: &mut KltScratch,
     out: &mut Vec<TrackOutcome>,
 ) {
-    out.clear();
-    scratch.iterations.clear();
-    let mut prev_planes = std::mem::take(&mut scratch.prev_planes);
-    let mut next_planes = std::mem::take(&mut scratch.next_planes);
-    pyramid_to_planes(prev_pyr, &mut prev_planes);
-    pyramid_to_planes(next_pyr, &mut next_planes);
-    for chunk in points.chunks(KLT_LANES) {
-        track_batch_planes(&prev_planes, &next_planes, chunk, cfg, scratch, out);
-    }
-    scratch.prev_planes = prev_planes;
-    scratch.next_planes = next_planes;
+    track_pyramidal_with(prev_pyr, next_pyr, points, cfg, scratch, out, Isa::detect());
 }
 
-/// [`track_pyramidal_into`] on the lane-sequential (scalar) datapath:
-/// every point is solved alone by the scalar per-point solve instead of
-/// in batches of [`KLT_LANES`]. Bit-identical to the batched path (the
-/// batch is proven equal to the scalar solve lane by lane) — the
-/// control loop uses this to model a platform without the SIMD
-/// micro-kernels, not to change results.
-pub fn track_pyramidal_scalar_into(
+/// [`track_pyramidal_into`] on the kernels `isa` names.
+fn track_pyramidal_with(
     prev_pyr: &Pyramid,
     next_pyr: &Pyramid,
     points: &[(f32, f32)],
     cfg: &KltConfig,
     scratch: &mut KltScratch,
     out: &mut Vec<TrackOutcome>,
+    isa: Isa,
 ) {
     out.clear();
     scratch.iterations.clear();
@@ -770,9 +801,8 @@ pub fn track_pyramidal_scalar_into(
     let mut next_planes = std::mem::take(&mut scratch.next_planes);
     pyramid_to_planes(prev_pyr, &mut prev_planes);
     pyramid_to_planes(next_pyr, &mut next_planes);
-    for &(x, y) in points {
-        let outcome = track_one_planes(&prev_planes, &next_planes, x, y, cfg, scratch);
-        out.push(outcome);
+    for chunk in points.chunks(KLT_LANES) {
+        track_batch_planes(&prev_planes, &next_planes, chunk, cfg, scratch, out, isa);
     }
     scratch.prev_planes = prev_planes;
     scratch.next_planes = next_planes;
@@ -880,7 +910,12 @@ mod tests {
     /// A textured image with a smooth per-pixel pattern, shifted by
     /// `(sx, sy)` pixels.
     fn textured(sx: f32, sy: f32) -> GrayImage {
-        GrayImage::from_fn(96, 96, |x, y| {
+        textured_sized(96, 96, sx, sy)
+    }
+
+    /// [`textured`] at `w × h`.
+    fn textured_sized(w: u32, h: u32, sx: f32, sy: f32) -> GrayImage {
+        GrayImage::from_fn(w, h, |x, y| {
             let u = x as f32 - sx;
             let v = y as f32 - sy;
             let val = 128.0
@@ -1152,5 +1187,165 @@ mod tests {
         assert_bit_identical(&out, &reference);
         assert_eq!(scratch.iteration_counts(), &ref_iters[..]);
         assert!(ref_iters.iter().all(|&i| i == 0));
+    }
+
+    /// The AVX2 kernels, when the host has them (`None` skips the
+    /// portable-vs-AVX2 comparisons below).
+    #[cfg(target_arch = "x86_64")]
+    fn avx2() -> Option<Isa> {
+        let isa = crate::isa::Avx2::detect().map(Isa::Avx2);
+        if isa.is_none() {
+            eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
+        }
+        isa
+    }
+
+    /// Tracks `pts` on the portable kernels and on `simd`, and asserts
+    /// bit-identical outcomes and equal per-track iteration counts.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_kernels_agree(
+        prev_pyr: &Pyramid,
+        next_pyr: &Pyramid,
+        pts: &[(f32, f32)],
+        cfg: &KltConfig,
+        simd: Isa,
+        what: &str,
+    ) {
+        let run = |isa| {
+            let mut scratch = KltScratch::default();
+            let mut out = Vec::new();
+            track_pyramidal_with(prev_pyr, next_pyr, pts, cfg, &mut scratch, &mut out, isa);
+            (out, scratch.iterations)
+        };
+        let (want, want_iters) = run(Isa::Portable);
+        let (got, got_iters) = run(simd);
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            match (g, w) {
+                (
+                    TrackOutcome::Tracked {
+                        x: gx,
+                        y: gy,
+                        residual: gr,
+                    },
+                    TrackOutcome::Tracked {
+                        x: wx,
+                        y: wy,
+                        residual: wr,
+                    },
+                ) => {
+                    assert_eq!(
+                        [gx.to_bits(), gy.to_bits(), gr.to_bits()],
+                        [wx.to_bits(), wy.to_bits(), wr.to_bits()],
+                        "{what}: point {i} {:?}",
+                        pts[i]
+                    );
+                }
+                _ => assert_eq!(g, w, "{what}: point {i} {:?}", pts[i]),
+            }
+        }
+        assert_eq!(got_iters, want_iters, "{what}: iteration counts");
+    }
+
+    /// Seventeen positions (two full batches and a lone lane) on a
+    /// `w × h` image: interior and sub-pixel, on and past every border,
+    /// absurdly far (`1e19`) and NaN.
+    #[cfg(target_arch = "x86_64")]
+    fn hostile_points(w: f32, h: f32) -> Vec<(f32, f32)> {
+        vec![
+            (40.3, 50.7),
+            (w * 0.5, h * 0.5),
+            (0.0, 0.0),
+            (2.0, h * 0.4),
+            (w - 1.0, h - 1.0),
+            (w - 1.4, 30.2),
+            (31.7, h - 0.6),
+            (-0.5, 20.0),
+            (-30.0, 40.0),
+            (w + 25.0, h + 3.0),
+            (1e19, 1e19),
+            (-1e19, 48.0),
+            (48.0, 1e19),
+            (f32::NAN, 40.0),
+            (40.0, f32::NAN),
+            (w * 0.7 + 0.33, h * 0.3 - 0.21),
+            (12.125, 18.875),
+        ]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_klt_matches_portable_across_radii_and_levels() {
+        let Some(simd) = avx2() else { return };
+        let (w, h) = (120, 100);
+        let prev = textured_sized(w, h, 0.0, 0.0);
+        let next = textured_sized(w, h, 2.3, -1.6);
+        let pts = hostile_points(w as f32, h as f32);
+        for levels in 1..=4 {
+            let prev_pyr = Pyramid::build(prev.clone(), levels);
+            let next_pyr = Pyramid::build(next.clone(), levels);
+            assert_eq!(
+                prev_pyr.levels(),
+                levels,
+                "fixture must reach {levels} levels"
+            );
+            for window_radius in 1..=10 {
+                let cfg = KltConfig {
+                    window_radius,
+                    levels,
+                    ..KltConfig::default()
+                };
+                let what = format!("radius {window_radius}, levels {levels}");
+                assert_kernels_agree(&prev_pyr, &next_pyr, &pts, &cfg, simd, &what);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_klt_matches_portable_for_every_remainder_width() {
+        let Some(simd) = avx2() else { return };
+        let prev = textured(0.0, 0.0);
+        let next = textured(1.7, -0.8);
+        let cfg = KltConfig::default();
+        let prev_pyr = Pyramid::build(prev.clone(), cfg.levels);
+        let next_pyr = Pyramid::build(next.clone(), cfg.levels);
+        let pts = hostile_points(96.0, 96.0);
+        for n in 1..=pts.len() {
+            let what = format!("{n} tracks");
+            assert_kernels_agree(&prev_pyr, &next_pyr, &pts[..n], &cfg, simd, &what);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_klt_matches_portable_on_degenerate_lanes_and_exact_budgets() {
+        // Flat-patch (degenerate) lanes beside healthy ones, lanes that
+        // converge on iteration 1, and the empty iteration budget.
+        let Some(simd) = avx2() else { return };
+        let prev = GrayImage::from_fn(96, 96, |x, y| {
+            if (30..60).contains(&x) && (30..60).contains(&y) {
+                120
+            } else {
+                let (u, v) = (x as f32, y as f32);
+                (128.0 + 60.0 * ((u * 0.37).sin() * (v * 0.23).cos())).clamp(0.0, 255.0) as u8
+            }
+        });
+        let pyr = Pyramid::build(prev.clone(), 3);
+        let pts = [
+            (12.0, 12.0),
+            (45.0, 45.0),
+            (80.0, 80.0),
+            (44.0, 46.0),
+            (20.0, 70.0),
+        ];
+        for max_iterations in [0, 1, 15] {
+            let cfg = KltConfig {
+                max_iterations,
+                ..KltConfig::default()
+            };
+            let what = format!("max_iterations {max_iterations}");
+            assert_kernels_agree(&pyr, &pyr, &pts, &cfg, simd, &what);
+        }
     }
 }

@@ -44,30 +44,37 @@
 //! buffers, or pyramids; remaining per-frame allocations are the returned
 //! observation list and the stereo matcher's internals.
 //!
-//! # Performance: the batched KLT solve
+//! # Performance: the batched KLT solve and the AVX2 kernels
 //!
 //! The dominant frontend kernel after the scratch work is the KLT solve
-//! (the paper's DC + LSS "temporal" tasks, ~60 % of frame time).
-//! [`track_pyramidal_into`] therefore solves tracks in lane-parallel
-//! batches of [`KLT_LANES`] (= 8): per-track positions, 2×2 normal
-//! matrices, residuals and convergence masks live as SoA arrays in
-//! [`KltScratch`], the search windows of all lanes are gathered from a
-//! shared f32 plane by a row-hoisted bilinear gather
-//! (`eudoxus_image::RowGather`), and each LSS iteration runs as a
-//! fixed-width unrolled micro-kernel over the lanes. Eight lanes give
-//! the core eight independent `f32` accumulator chains where the scalar
-//! solve serializes on one — and the interior gather replaces the
-//! per-sample `floorf` libcall with a truncating cast (bit-equal for the
-//! proven `x ≥ 0` domain). Converged/degenerate lanes are masked, not
-//! compacted: they stay resident but skip their gathers and updates, so
-//! a batch performs exactly the scalar solve's total sample count. The
-//! scalar path survives as [`track_one`]/[`track_one_with`] and as the
-//! per-row border fallback inside the batch; everything is
-//! **bit-identical** to the seed solve (golden + property tests in
-//! `eudoxus-bench`, all five scenario kinds). See
-//! `crates/frontend/src/README.md` for the design notes and
-//! `BENCH_throughput.json` for the trajectory (mean frontend speedup
-//! ~2.2× vs the in-run seed baseline, temporal share down to ~55 %).
+//! (the paper's DC + LSS "temporal" tasks). [`track_pyramidal_into`]
+//! therefore solves tracks in lane-parallel batches of [`KLT_LANES`]
+//! (= 8): per-track positions, 2×2 normal matrices, residuals and
+//! convergence masks live as SoA arrays in [`KltScratch`].
+//!
+//! The bilinear-sampling loops — KLT's DC and LSS phases and ORB's 256
+//! rotated-BRIEF tests ([`compute_orb`]) — have two implementations,
+//! picked at run time. On x86-64 hosts that report AVX2, `std::arch`
+//! kernels run one vector instruction for all eight KLT lanes (masked
+//! gathers sample every lane's window) and eight BRIEF pairs at a time.
+//! Where the CPU lacks AVX2 the portable path runs (other architectures
+//! compile only that path; CI type-checks it for aarch64): the
+//! lane-sequential batch, whose row-hoisted gather
+//! (`eudoxus_image::RowGather`) gives the core eight independent `f32`
+//! accumulator chains, and the scalar BRIEF loop. No option selects
+//! between them, because both give the same bits: every AVX2 lane runs
+//! the scalar operation sequence (separate `mul` and `add`, no FMA; the
+//! scalar sum order; truncation only where `x ≥ 0` is proven), and any
+//! lane or BRIEF group the kernels cannot prove interior runs the scalar
+//! code. Converged and degenerate KLT lanes are masked, not compacted.
+//!
+//! The scalar solve survives as [`track_one`]/[`track_one_with`] and as
+//! the per-row border fallback inside the batch; everything is
+//! **bit-identical** to the seed solve and the seed descriptor (golden
+//! and property tests in `eudoxus-bench`, all five scenario kinds), and
+//! in-crate tests compare the portable and AVX2 kernels directly. See
+//! `crates/frontend/src/README.md` for the design notes and measured
+//! numbers.
 //!
 //! # Example
 //!
@@ -85,6 +92,7 @@
 
 pub mod fast;
 pub mod feature;
+mod isa;
 pub mod klt;
 pub mod orb;
 pub mod pipeline;
@@ -93,8 +101,8 @@ pub mod stereo;
 pub use fast::{detect_fast, detect_fast_into, FastConfig, FastScratch};
 pub use feature::{Feature, KeyPoint, OrbDescriptor};
 pub use klt::{
-    track_one, track_one_with, track_pyramidal, track_pyramidal_into,
-    track_pyramidal_scalar_into, KltConfig, KltScratch, TrackOutcome, KLT_LANES,
+    track_one, track_one_with, track_pyramidal, track_pyramidal_into, KltConfig, KltScratch,
+    TrackOutcome, KLT_LANES,
 };
 pub use orb::{compute_orb, OrbConfig};
 pub use pipeline::{

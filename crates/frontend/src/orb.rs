@@ -6,9 +6,17 @@
 //! orientation. The comparison pattern here is generated once from a
 //! deterministic PRNG, mimicking ORB's learned pattern; what matters for
 //! matching is that the *same* pattern is used everywhere.
+//!
+//! On x86-64 hosts that report AVX2, the tests run eight pairs per
+//! vector, bit-identical to the portable loop (see the crate docs).
 
 use crate::feature::{KeyPoint, OrbDescriptor};
+use crate::isa::Isa;
 use eudoxus_image::GrayImage;
+use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Patch half-size used for orientation and sampling.
 const PATCH_RADIUS: i64 = 9;
@@ -32,7 +40,6 @@ impl Default for OrbConfig {
 
 /// The 256 comparison pairs, generated deterministically at first use.
 fn sampling_pattern() -> &'static [((f32, f32), (f32, f32)); 256] {
-    use std::sync::OnceLock;
     static PATTERN: OnceLock<[((f32, f32), (f32, f32)); 256]> = OnceLock::new();
     PATTERN.get_or_init(|| {
         // xorshift64* PRNG — fixed seed, so every build uses one pattern.
@@ -61,6 +68,23 @@ fn sampling_pattern() -> &'static [((f32, f32), (f32, f32)); 256] {
             }
         }
         pairs
+    })
+}
+
+/// [`sampling_pattern`] as four coordinate arrays `[ax, ay, bx, by]`,
+/// built once: the AVX2 tests load eight pairs per vector.
+#[cfg(target_arch = "x86_64")]
+fn sampling_pattern_soa() -> &'static [[f32; 256]; 4] {
+    static SOA: OnceLock<[[f32; 256]; 4]> = OnceLock::new();
+    SOA.get_or_init(|| {
+        let mut soa = [[0.0; 256]; 4];
+        for (i, &((ax, ay), (bx, by))) in sampling_pattern().iter().enumerate() {
+            soa[0][i] = ax;
+            soa[1][i] = ay;
+            soa[2][i] = bx;
+            soa[3][i] = by;
+        }
+        soa
     })
 }
 
@@ -105,6 +129,17 @@ fn patch_orientation(img: &GrayImage, cx: i64, cy: i64) -> f32 {
 /// should drop such border key points rather than describe unreliable
 /// content).
 pub fn compute_orb(img: &GrayImage, kp: &KeyPoint, cfg: &OrbConfig) -> Option<OrbDescriptor> {
+    compute_orb_with(img, kp, cfg, Isa::detect())
+}
+
+/// [`compute_orb`] with the rotated-BRIEF tests on the kernel `isa`
+/// names.
+fn compute_orb_with(
+    img: &GrayImage,
+    kp: &KeyPoint,
+    cfg: &OrbConfig,
+    isa: Isa,
+) -> Option<OrbDescriptor> {
     let (w, h) = img.dimensions();
     let cx = kp.x.round() as i64;
     let cy = kp.y.round() as i64;
@@ -117,24 +152,44 @@ pub fn compute_orb(img: &GrayImage, kp: &KeyPoint, cfg: &OrbConfig) -> Option<Or
     } else {
         (0.0, 1.0)
     };
+    Some(match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(avx2) => avx2::rotated_brief(avx2, img, kp, (sin_t, cos_t)),
+        Isa::Portable => rotated_brief(img, kp, (sin_t, cos_t)),
+    })
+}
+
+/// The 256 rotated-BRIEF tests around `kp`, rotated by `(sin θ, cos θ)`:
+/// the portable path.
+fn rotated_brief(img: &GrayImage, kp: &KeyPoint, rot: (f32, f32)) -> OrbDescriptor {
     let mut desc = OrbDescriptor::zero();
-    for (i, &((ax, ay), (bx, by))) in sampling_pattern().iter().enumerate() {
-        // Rotate offsets by the patch orientation.
-        let ra = (
-            (cos_t * ax - sin_t * ay) + kp.x,
-            (sin_t * ax + cos_t * ay) + kp.y,
-        );
-        let rb = (
-            (cos_t * bx - sin_t * by) + kp.x,
-            (sin_t * bx + cos_t * by) + kp.y,
-        );
-        let va = img.sample_bilinear(ra.0, ra.1);
-        let vb = img.sample_bilinear(rb.0, rb.1);
-        if va < vb {
+    for (i, pair) in sampling_pattern().iter().enumerate() {
+        if brief_test(img, pair, kp, rot) {
             desc.set_bit(i);
         }
     }
-    Some(desc)
+    desc
+}
+
+/// One rotated-BRIEF test: whether the first point of `pair`, rotated by
+/// `(sin θ, cos θ)` about `kp`, samples darker than the second.
+#[inline]
+fn brief_test(
+    img: &GrayImage,
+    &((ax, ay), (bx, by)): &((f32, f32), (f32, f32)),
+    kp: &KeyPoint,
+    (sin_t, cos_t): (f32, f32),
+) -> bool {
+    // Rotate offsets by the patch orientation.
+    let ra = (
+        (cos_t * ax - sin_t * ay) + kp.x,
+        (sin_t * ax + cos_t * ay) + kp.y,
+    );
+    let rb = (
+        (cos_t * bx - sin_t * by) + kp.x,
+        (sin_t * bx + cos_t * by) + kp.y,
+    );
+    img.sample_bilinear(ra.0, ra.1) < img.sample_bilinear(rb.0, rb.1)
 }
 
 #[cfg(test)]
@@ -218,5 +273,83 @@ mod tests {
             assert!(ax * ax + ay * ay <= SAMPLE_RADIUS * SAMPLE_RADIUS + 1e-3);
             assert!(bx * bx + by * by <= SAMPLE_RADIUS * SAMPLE_RADIUS + 1e-3);
         }
+    }
+
+    /// A deterministic xorshift stream in `[0, 1)`.
+    #[cfg(target_arch = "x86_64")]
+    fn uniform(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_orb_tests_match_portable_on_random_key_points() {
+        // The kernels directly, bypassing compute_orb's border check:
+        // random sub-pixel key points over and past the whole image,
+        // random rotations, plus absurd and NaN positions. Groups with a
+        // sample outside the interior exercise the scalar fallback.
+        let Some(avx2) = crate::isa::Avx2::detect() else {
+            eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
+            return;
+        };
+        // Flat checkerboard cells (ties between samples) beside noise.
+        let img = GrayImage::from_fn(97, 83, |x, y| match (x / 6 + y / 6) % 2 {
+            0 => 90,
+            _ => ((x * 31 + y * 17 + x * y) % 251) as u8,
+        });
+        let mut next = uniform(0x5DEE_CE66_D1CE_5EED);
+        let mut kps: Vec<KeyPoint> = (0..3000)
+            .map(|_| KeyPoint::new(next() * 117.0 - 10.0, next() * 103.0 - 10.0, 0.0))
+            .collect();
+        for (x, y) in [
+            (1e19, 40.0),
+            (40.0, -1e19),
+            (f32::NAN, 30.0),
+            (30.0, f32::NAN),
+        ] {
+            kps.push(KeyPoint::new(x, y, 0.0));
+        }
+        for kp in &kps {
+            let rot = (next() * 6.3).sin_cos();
+            for rot in [rot, (0.0, 1.0)] {
+                let want = rotated_brief(&img, kp, rot);
+                let got = avx2::rotated_brief(avx2, &img, kp, rot);
+                assert_eq!(got, want, "key point {kp:?}, rotation {rot:?}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_orb_descriptors_match_portable() {
+        // Through compute_orb: orientation, border rejection and the
+        // tests, oriented and plain, at random sub-pixel key points.
+        let Some(avx2) = crate::isa::Avx2::detect() else {
+            eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
+            return;
+        };
+        let img = blob_image(40.0, 36.0, 0.7);
+        let mut next = uniform(0x0DDB_1A5E_5BAD_5EED);
+        let mut described = 0;
+        for _ in 0..1000 {
+            let kp = KeyPoint::new(next() * 64.0, next() * 64.0, 0.0);
+            for oriented in [true, false] {
+                let cfg = OrbConfig { oriented };
+                let want = compute_orb_with(&img, &kp, &cfg, Isa::Portable);
+                let got = compute_orb_with(&img, &kp, &cfg, Isa::Avx2(avx2));
+                assert_eq!(got, want, "key point {kp:?}, oriented {oriented}");
+                described += usize::from(want.is_some());
+            }
+        }
+        assert!(
+            described > 500,
+            "fixture must describe most key points ({described})"
+        );
     }
 }

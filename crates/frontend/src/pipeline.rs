@@ -10,9 +10,7 @@
 
 use crate::fast::{detect_fast_into, FastConfig, FastScratch};
 use crate::feature::{Feature, KeyPoint, OrbDescriptor};
-use crate::klt::{
-    track_pyramidal_into, track_pyramidal_scalar_into, KltConfig, KltScratch, TrackOutcome,
-};
+use crate::klt::{track_pyramidal_into, KltConfig, KltScratch, TrackOutcome};
 use crate::orb::{compute_orb, OrbConfig};
 use crate::stereo::{match_stereo, StereoConfig};
 use eudoxus_image::{gaussian_blur_into, FilterScratch, GrayImage, Pyramid};
@@ -60,10 +58,7 @@ impl Default for Tuning {
 ///
 /// Each field caps (never raises) the corresponding [`FrontendConfig`]
 /// knob, so a directive can only shrink the workload: the effective
-/// budget is `min(config, directive)`. `scalar_klt` selects the
-/// lane-sequential KLT solve, which is bit-identical to the batched
-/// path (proven by the scalar/batch property tests) but models the
-/// scalar datapath an accelerator-less platform would run.
+/// budget is `min(config, directive)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameDirective {
     /// Cap on FAST detections per image (clamps `FastConfig::max_keypoints`).
@@ -72,31 +67,27 @@ pub struct FrameDirective {
     pub max_tracks: usize,
     /// Cap on KLT pyramid levels (clamps `KltConfig::levels`, min 1).
     pub max_pyramid_levels: usize,
-    /// Route temporal matching through the scalar KLT solve.
-    pub scalar_klt: bool,
 }
 
 impl FrameDirective {
     /// The mildest throttled operating point: a modest trim of the
-    /// feature budget with the full pyramid, on the SIMD path. First
-    /// rung of the control loop's severity ladder.
+    /// feature budget with the full pyramid. First rung of the control
+    /// loop's severity ladder.
     pub fn mild() -> Self {
         FrameDirective {
             max_keypoints: 600,
             max_tracks: 320,
             max_pyramid_levels: 3,
-            scalar_klt: false,
         }
     }
 
     /// The default throttled operating point: roughly half the default
-    /// feature budget and one fewer pyramid level, on the SIMD path.
+    /// feature budget and one fewer pyramid level.
     pub fn throttled() -> Self {
         FrameDirective {
             max_keypoints: 400,
             max_tracks: 210,
             max_pyramid_levels: 2,
-            scalar_klt: false,
         }
     }
 
@@ -109,7 +100,6 @@ impl FrameDirective {
             max_keypoints: 250,
             max_tracks: 130,
             max_pyramid_levels: 1,
-            scalar_klt: false,
         }
     }
 }
@@ -445,27 +435,14 @@ impl Frontend {
             if !self.tracks.is_empty() {
                 self.scratch.points.clear();
                 self.scratch.points.extend(self.tracks.iter().map(|tr| (tr.x, tr.y)));
-                // The scalar and batched solves are bit-identical; the
-                // directive chooses which datapath is modeled/executed.
-                if directive.is_some_and(|d| d.scalar_klt) {
-                    track_pyramidal_scalar_into(
-                        prev_pyr,
-                        &cur_pyr,
-                        &self.scratch.points,
-                        &cfg.klt,
-                        &mut self.scratch.klt,
-                        &mut self.scratch.tracked,
-                    );
-                } else {
-                    track_pyramidal_into(
-                        prev_pyr,
-                        &cur_pyr,
-                        &self.scratch.points,
-                        &cfg.klt,
-                        &mut self.scratch.klt,
-                        &mut self.scratch.tracked,
-                    );
-                }
+                track_pyramidal_into(
+                    prev_pyr,
+                    &cur_pyr,
+                    &self.scratch.points,
+                    &cfg.klt,
+                    &mut self.scratch.klt,
+                    &mut self.scratch.tracked,
+                );
             }
         }
         timing.temporal = t.elapsed();
@@ -699,7 +676,6 @@ mod tests {
             max_keypoints: 6,
             max_tracks: 4,
             max_pyramid_levels: 1,
-            scalar_klt: false,
         }));
         let (l, r) = stereo_pair(0.0, 6.0);
         let out = fe.process(&l, &r);
@@ -709,29 +685,6 @@ mod tests {
         fe.set_directive(None);
         let out = fe.process(&l, &r);
         assert!(out.stats.keypoints_left > 6);
-    }
-
-    #[test]
-    fn scalar_klt_directive_is_bit_identical() {
-        let mut batched = Frontend::new(FrontendConfig::default());
-        let mut scalar = Frontend::new(FrontendConfig::default());
-        scalar.set_directive(Some(FrameDirective {
-            max_keypoints: usize::MAX,
-            max_tracks: usize::MAX,
-            max_pyramid_levels: usize::MAX,
-            scalar_klt: true,
-        }));
-        for shift in [0.0f32, 2.0, 4.0] {
-            let (l, r) = stereo_pair(shift, 6.0);
-            let a = batched.process(&l, &r);
-            let b = scalar.process(&l, &r);
-            assert_eq!(a.observations.len(), b.observations.len());
-            for (oa, ob) in a.observations.iter().zip(&b.observations) {
-                assert_eq!(oa.track_id, ob.track_id);
-                assert_eq!(oa.x.to_bits(), ob.x.to_bits());
-                assert_eq!(oa.y.to_bits(), ob.y.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -384,7 +384,7 @@ impl FloatImage {
     pub fn to_gray_into(&self, out: &mut GrayImage) {
         out.reshape(self.width, self.height);
         for (dst, &v) in out.as_raw_mut().iter_mut().zip(&self.data) {
-            *dst = v.round().clamp(0.0, 255.0) as u8;
+            *dst = round_to_u8(v);
         }
     }
 
@@ -407,6 +407,17 @@ impl FloatImage {
     pub fn as_raw_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` without the `roundf` libcall:
+/// truncating the clamped value and adding one at a fraction of `0.5` or
+/// more rounds half away from zero on `[0, 255]`. Equal for all 2³² `f32`
+/// bit patterns (NaN gives 0 both ways).
+#[inline]
+fn round_to_u8(v: f32) -> u8 {
+    let c = v.clamp(0.0, 255.0);
+    let t = c as u8;
+    t + u8::from(c - t as f32 >= 0.5)
 }
 
 impl Default for FloatImage {
@@ -488,6 +499,51 @@ mod tests {
         let img = GrayImage::from_fn(5, 5, |x, y| (x * 13 + y * 29) as u8);
         let f = FloatImage::from_gray(&img);
         assert_eq!(f.to_gray(), img);
+    }
+
+    #[test]
+    fn round_to_u8_matches_round_then_clamp() {
+        let reference = |v: f32| v.round().clamp(0.0, 255.0) as u8;
+        let ulp_steps = |v: f32| {
+            [
+                f32::from_bits(v.to_bits() - 1),
+                v,
+                f32::from_bits(v.to_bits() + 1),
+            ]
+        };
+        let mut probes = vec![
+            0.49999997,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::MIN_POSITIVE,
+            255.0,
+            255.49998,
+            255.5,
+            256.0,
+            1e30,
+            -1e30,
+        ];
+        // Half-integers on both sides of zero and past both clamp ends,
+        // one ulp either way.
+        for k in -3..=258 {
+            probes.extend(ulp_steps(k as f32 + 0.5));
+        }
+        for v in probes {
+            assert_eq!(
+                round_to_u8(v),
+                reference(v),
+                "at {v:e} ({:#x})",
+                v.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ impl<'a> RowSampler<'a> {
         let w = img.width() as i64;
         // `y0 < h - 1`, not `y0 + 1 < h`: the saturated cast of a huge
         // finite y (i64::MAX) must not overflow into a false positive.
-        let y_interior = y0 >= 0 && y0 < img.height() as i64 - 1;
+        // `y0f >= 0.0`, not `y0 >= 0`: a NaN y casts to 0 but fails it.
+        let y_interior = y0f >= 0.0 && y0 < img.height() as i64 - 1;
         RowSampler {
             img,
             raw: img.as_raw(),
@@ -76,13 +77,10 @@ impl<'a> RowSampler<'a> {
 
     /// Whether every sample in `[x_first, x_last]` (both on this row)
     /// takes the interior path — `floor` is monotonic, so checking the
-    /// endpoints covers the run.
+    /// endpoints covers the run. A NaN endpoint is never interior.
     #[inline]
     pub fn run_interior(&self, x_first: f32, x_last: f32) -> bool {
-        // `< w - 1`, not `+ 1 < w` (saturated-cast overflow).
-        self.y_interior
-            && x_first.floor() as i64 >= 0
-            && (x_last.floor() as i64) < self.w - 1
+        self.y_interior && run_in_row(x_first, x_last, self.w)
     }
 
     /// Interior sample without the bounds branch (callers prove the run
@@ -124,6 +122,15 @@ impl<'a> RowSampler<'a> {
             + p01 * (1.0 - fx) * fy
             + p11 * fx * fy
     }
+}
+
+/// The column half of the run proof: `floor(x_first) ≥ 0` and
+/// `floor(x_last) < w - 1`. Float `>=` rejects a NaN `x_first`; a NaN
+/// `x_last` casts to 0 and is rejected explicitly.
+#[inline]
+fn run_in_row(x_first: f32, x_last: f32, w: i64) -> bool {
+    // `< w - 1`, not `+ 1 < w` (saturated-cast overflow).
+    x_first >= 0.0 && !x_last.is_nan() && (x_last.floor() as i64) < w - 1
 }
 
 /// Lane-batched row gather: the SoA form of [`RowSampler`] for `L`
@@ -171,7 +178,7 @@ impl<'a, const L: usize> RowGather<'a, L> {
             let y0f = ys[l].floor();
             fy[l] = ys[l] - y0f;
             let y0 = y0f as i64;
-            let interior = y0 >= 0 && y0 < h - 1;
+            let interior = y0f >= 0.0 && y0 < h - 1;
             y_interior[l] = interior;
             row0[l] = if interior { (y0 * w) as usize } else { 0 };
         }
@@ -188,9 +195,7 @@ impl<'a, const L: usize> RowGather<'a, L> {
     /// (same endpoint proof as [`RowSampler::run_interior`]).
     #[inline]
     pub fn lane_run_interior(&self, l: usize, x_first: f32, x_last: f32) -> bool {
-        self.y_interior[l]
-            && x_first.floor() as i64 >= 0
-            && (x_last.floor() as i64) < self.w as i64 - 1
+        self.y_interior[l] && run_in_row(x_first, x_last, self.w as i64)
     }
 
     /// Bilinear sample for lane `l` at horizontal position `x` without
@@ -285,6 +290,27 @@ mod tests {
                 assert_eq!(got.to_bits(), s.sample(x).to_bits(), "lane {l} x {x}");
             }
         }
+    }
+
+    #[test]
+    fn nan_rows_and_runs_are_never_interior() {
+        // A NaN coordinate casts to 0, which once passed the integer
+        // bounds test; it must take the clamped path instead.
+        let p = plane();
+        let s = RowSampler::new(&p, f32::NAN);
+        assert!(!s.run_interior(2.0, 10.0));
+        assert!(s.sample(5.0).is_nan());
+        let s = RowSampler::new(&p, 4.5);
+        assert!(!s.run_interior(f32::NAN, 10.0));
+        assert!(!s.run_interior(2.0, f32::NAN));
+        assert_eq!(
+            s.sample(f32::NAN).to_bits(),
+            p.sample_bilinear(f32::NAN, 4.5).to_bits()
+        );
+        let g = RowGather::<2>::new(&p, &[f32::NAN, 4.5]);
+        assert!(!g.lane_run_interior(0, 2.0, 10.0));
+        assert!(!g.lane_run_interior(1, f32::NAN, 10.0));
+        assert!(g.lane_run_interior(1, 2.0, 10.0));
     }
 
     #[test]

@@ -196,8 +196,8 @@
 //!   arms a deterministic hysteresis loop on the modeled frame period:
 //!   `enter_frames` consecutive deadline overruns issue a
 //!   `FrameDirective` the frontend applies next frame (caps on
-//!   keypoints/tracks, a shallower pyramid, optionally the scalar KLT
-//!   path — caps only ever shrink the configured budget), held until
+//!   keypoints/tracks, a shallower pyramid — caps only ever shrink the
+//!   configured budget), held until
 //!   the raw period clears `exit_margin × min(throttled baseline,
 //!   deadline)` for `exit_frames` frames. Constant load never clears
 //!   its own baseline, so the loop cannot oscillate.
