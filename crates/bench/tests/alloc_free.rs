@@ -55,6 +55,23 @@ fn steady_state_kernels_are_allocation_free() {
     let d = alloc_delta(|| detect_fast_into(left, &FastConfig::default(), &mut fast, &mut kps));
     assert_eq!(d, 0, "warm detect_fast_into allocated {d} times");
     assert!(!kps.is_empty(), "rendered frame must yield corners");
+    // The row mask and the list of positive responses: threshold 0 fills
+    // both the most, a smaller image shrinks the response map, and the
+    // map grows back within its capacity.
+    let dense = FastConfig {
+        threshold: 0,
+        ..FastConfig::default()
+    };
+    let mut crop = GrayImage::default();
+    crop.reshape(101, 57);
+    detect_fast_into(left, &dense, &mut fast, &mut kps); // warm-up
+    let d = alloc_delta(|| {
+        detect_fast_into(left, &dense, &mut fast, &mut kps);
+        detect_fast_into(right, &FastConfig::default(), &mut fast, &mut kps);
+        detect_fast_into(&crop, &dense, &mut fast, &mut kps);
+        detect_fast_into(left, &FastConfig::default(), &mut fast, &mut kps);
+    });
+    assert_eq!(d, 0, "warm FAST mask and positive list allocated {d} times");
 
     // Pyramid rebuild (the per-frame pyramid of the DC/LSS tasks).
     let klt_cfg = KltConfig::default();

@@ -37,15 +37,48 @@ fn dataset(kind: ScenarioKind, frames: usize) -> Dataset {
         .build()
 }
 
+/// The `w × h` window of `img` whose top-left pixel is `(x0, y0)`.
+fn crop(img: &GrayImage, x0: u32, y0: u32, w: u32, h: u32) -> GrayImage {
+    GrayImage::from_fn(w, h, |x, y| img.get(x0 + x, y0 + y))
+}
+
+/// Odd windows `(x0, y0, w, h)`: widths around the AVX2 blur's minimum
+/// `2r + 8` (10, 16 and 24 for the blur radii 1, 4 and 8 below), heights
+/// around its minimum `2r + 1`, and sizes that leave a remainder of
+/// every vector width.
+const CROPS: [(u32, u32, u32, u32); 5] = [
+    (1, 2, 13, 9),
+    (37, 11, 17, 40),
+    (5, 7, 41, 23),
+    (100, 50, 333, 101),
+    (211, 3, 429, 477),
+];
+
 #[test]
 fn blur_kernel_matches_seed_bitwise() {
-    let data = dataset(ScenarioKind::IndoorUnknown, 2);
+    // Both eyes of every scenario kind at the frontend's sigma, the left
+    // eye also at a radius-1 and a radius-8 kernel, and odd crops at all
+    // three.
     let mut scratch = FilterScratch::default();
     let mut out = GrayImage::default();
-    for frame in &data.frames {
-        for img in [&frame.left, &frame.right] {
-            let seed = gaussian_blur_baseline(img, 1.2);
-            gaussian_blur_into(img, 1.2, &mut scratch, &mut out);
+    for kind in KINDS {
+        let data = dataset(kind, 1);
+        let frame = &data.frames[0];
+        let mut cases = vec![
+            (frame.left.as_ref().clone(), 1.2),
+            (frame.right.as_ref().clone(), 1.2),
+        ];
+        for sigma in [0.3, 1.2, 2.6] {
+            if sigma != 1.2 {
+                cases.push((frame.left.as_ref().clone(), sigma));
+            }
+            for (x0, y0, w, h) in CROPS {
+                cases.push((crop(&frame.right, x0, y0, w, h), sigma));
+            }
+        }
+        for (img, sigma) in &cases {
+            let seed = gaussian_blur_baseline(img, *sigma);
+            gaussian_blur_into(img, *sigma, &mut scratch, &mut out);
             assert_eq!(seed, out, "blur differs from seed");
         }
     }
@@ -53,14 +86,37 @@ fn blur_kernel_matches_seed_bitwise() {
 
 #[test]
 fn fast_kernel_matches_seed_bitwise() {
-    let data = dataset(ScenarioKind::OutdoorUnknown, 2);
-    let cfg = FastConfig::default();
+    // Both eyes of every scenario kind at the default threshold, the
+    // left eye also at 0 (every compass pixel that differs counts) and
+    // 255 (nothing passes), and odd crops at all three. A budget of 60
+    // forces the bucketing path on the full frames.
     let mut scratch = FastScratch::default();
     let mut out = Vec::new();
-    for frame in &data.frames {
-        for img in [&frame.left, &frame.right] {
-            let seed = detect_fast_baseline(img, &cfg);
-            detect_fast_into(img, &cfg, &mut scratch, &mut out);
+    for kind in KINDS {
+        let data = dataset(kind, 1);
+        let frame = &data.frames[0];
+        let mut cases = Vec::new();
+        for threshold in [0, 22, 255] {
+            let cfg = FastConfig {
+                threshold,
+                ..FastConfig::default()
+            };
+            cases.push((frame.left.as_ref().clone(), cfg));
+            if threshold == 22 {
+                cases.push((frame.right.as_ref().clone(), cfg));
+                let tight = FastConfig {
+                    max_keypoints: 60,
+                    ..cfg
+                };
+                cases.push((frame.right.as_ref().clone(), tight));
+            }
+            for (x0, y0, w, h) in CROPS {
+                cases.push((crop(&frame.left, x0, y0, w, h), cfg));
+            }
+        }
+        for (img, cfg) in &cases {
+            let seed = detect_fast_baseline(img, cfg);
+            detect_fast_into(img, cfg, &mut scratch, &mut out);
             assert_eq!(seed.len(), out.len(), "keypoint count differs");
             for (a, b) in seed.iter().zip(&out) {
                 assert_eq!(a.x.to_bits(), b.x.to_bits());
@@ -69,6 +125,41 @@ fn fast_kernel_matches_seed_bitwise() {
             }
         }
     }
+}
+
+#[test]
+fn fast_kernel_matches_seed_at_minimum_size_and_odd_widths() {
+    // The smallest image the detector scans (8×8, a 2×2 interior) and
+    // every width up to 45, so the interior width `w − 6` takes every
+    // remainder of the 8-byte mask walk and of any vector width, cut
+    // from a textured frame at several offsets.
+    let data = dataset(ScenarioKind::IndoorUnknown, 1);
+    let frame = &data.frames[0].left;
+    let mut scratch = FastScratch::default();
+    let mut out = Vec::new();
+    let mut found = 0;
+    for threshold in [0, 22] {
+        let cfg = FastConfig {
+            threshold,
+            ..FastConfig::default()
+        };
+        for w in 8..=45 {
+            for h in [8, 9, 14] {
+                for (x0, y0) in [(0, 0), (301, 207), (577, 460)] {
+                    let img = crop(frame, x0.min(640 - w), y0.min(480 - h), w, h);
+                    let seed = detect_fast_baseline(&img, &cfg);
+                    detect_fast_into(&img, &cfg, &mut scratch, &mut out);
+                    let bits = |k: &KeyPoint| (k.x.to_bits(), k.y.to_bits(), k.response.to_bits());
+                    assert!(
+                        seed.iter().map(bits).eq(out.iter().map(bits)),
+                        "{w}x{h} at ({x0}, {y0}), threshold {threshold}"
+                    );
+                    found += seed.len();
+                }
+            }
+        }
+    }
+    assert!(found > 100, "the windows must hold corners ({found})");
 }
 
 #[test]

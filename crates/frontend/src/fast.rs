@@ -6,6 +6,14 @@
 //! `center − t`. Non-maximum suppression keeps the locally strongest
 //! responses, and a bucketing pass spreads key points across the image the
 //! way production frontends do.
+//!
+//! The scan is a row stencil like the paper's FD block: a branch-free
+//! compass pre-test writes each row's candidates into a byte mask (plain
+//! Rust that the compiler vectorizes), the full segment test runs only
+//! where the mask is set (under 1 % of pixels on drone frames), and
+//! non-maximum suppression walks the row-major list of positive
+//! responses. Results are bit-identical to the seed detector kept in
+//! `eudoxus_bench::baseline`.
 
 use crate::feature::KeyPoint;
 use eudoxus_image::GrayImage;
@@ -115,11 +123,20 @@ fn corner_response(img: &GrayImage, x: u32, y: u32, t: u8) -> f32 {
 }
 
 /// Reusable workspaces for [`detect_fast_into`]: the full-image response
-/// map, the NMS candidate list, and the bucketing buffers. One warm-up
-/// call at a given image size makes every subsequent call allocation-free.
+/// map, the per-row compass mask, the list of positive responses, the
+/// NMS candidate list, and the bucketing buffers. One warm-up call at a
+/// given image size makes every subsequent call allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct FastScratch {
+    /// Corner responses by flat pixel index. Zero everywhere between
+    /// calls: a call writes only the positive responses and zeroes them
+    /// again before it returns.
     responses: Vec<f32>,
+    /// One row's compass pre-test over the interior columns (1 where the
+    /// full segment test must run), zero-padded to a multiple of 8.
+    mask: Vec<u8>,
+    /// Flat indices of the positive responses, in row-major order.
+    positives: Vec<u32>,
     candidates: Vec<KeyPoint>,
     sort_buf: Vec<KeyPoint>,
     cell_counts: Vec<u32>,
@@ -154,71 +171,94 @@ pub fn detect_fast_into(
     if w < 8 || h < 8 {
         return;
     }
-    // Response map over the valid interior (cleared to zero so NMS reads
-    // of the untouched border ring see no stale responses).
-    scratch.responses.clear();
-    scratch.responses.resize((w * h) as usize, 0.0);
-    // Row-sliced quick rejection: the compass pre-test of the segment
-    // test, run over raw rows so the ~95 % of pixels that fail it never
-    // pay for the full ring evaluation. Pixels that fail score 0 in the
-    // full test too, so the response map is unchanged.
+    let (wu, hu) = (w as usize, h as usize);
+    // The map is all zero on entry, so growing it with zeros is enough.
+    scratch.responses.resize(wu * hu, 0.0);
+    scratch.positives.clear();
+    // Interior columns `3 .. w − 3`; the padding stays zero.
+    let inner = wu - 6;
+    scratch.mask.clear();
+    scratch.mask.resize(inner.next_multiple_of(8), 0);
     let raw = img.as_raw();
-    let wu = w as usize;
-    let t = cfg.threshold as i32;
-    for y in 3..(h - 3) {
-        let yy = y as usize;
-        let mid = &raw[yy * wu..][..wu];
-        let up3 = &raw[(yy - 3) * wu..][..wu];
-        let dn3 = &raw[(yy + 3) * wu..][..wu];
-        for x in 3..(w - 3) {
-            let xu = x as usize;
-            let c = mid[xu] as i32;
-            let p0 = up3[xu] as i32;
-            let p4 = mid[xu + 3] as i32;
-            let p8 = dn3[xu] as i32;
-            let p12 = mid[xu - 3] as i32;
-            let bright = u8::from(p0 > c + t)
-                + u8::from(p4 > c + t)
-                + u8::from(p8 > c + t)
-                + u8::from(p12 > c + t);
-            let dark = u8::from(p0 < c - t)
-                + u8::from(p4 < c - t)
-                + u8::from(p8 < c - t)
-                + u8::from(p12 < c - t);
-            if bright >= 2 || dark >= 2 {
-                scratch.responses[(y * w + x) as usize] =
-                    corner_response(img, x, y, cfg.threshold);
-            }
-        }
-    }
-    // 3×3 non-maximum suppression.
-    scratch.candidates.clear();
-    for y in 3..(h - 3) {
-        for x in 3..(w - 3) {
-            let r = scratch.responses[(y * w + x) as usize];
-            if r <= 0.0 {
-                continue;
-            }
-            let mut is_max = true;
-            'nms: for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    let n = scratch.responses
-                        [((y as i64 + dy) as u32 * w + (x as i64 + dx) as u32) as usize];
-                    if n > r || (n == r && (dy < 0 || (dy == 0 && dx < 0))) {
-                        is_max = false;
-                        break 'nms;
-                    }
+    for y in 3..hu - 3 {
+        let row = |dy: usize| &raw[(y + dy - 3) * wu..][..wu];
+        let (up3, mid, dn3) = (row(0), row(3), row(6));
+        compass_mask(
+            &mid[3..wu - 3],
+            [&up3[3..wu - 3], &mid[6..], &dn3[3..wu - 3], &mid[..wu - 6]],
+            cfg.threshold,
+            &mut scratch.mask[..inner],
+        );
+        // Walk the set mask bytes eight at a time: most chunks are zero.
+        for (chunk, bytes) in scratch.mask.chunks_exact(8).enumerate() {
+            let mut bits = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+            while bits != 0 {
+                let x = 3 + 8 * chunk + bits.trailing_zeros() as usize / 8;
+                bits &= bits - 1;
+                let r = corner_response(img, x as u32, y as u32, cfg.threshold);
+                if r > 0.0 {
+                    let i = y * wu + x;
+                    scratch.responses[i] = r;
+                    scratch.positives.push(i as u32);
                 }
             }
-            if is_max {
-                scratch.candidates.push(KeyPoint::new(x as f32, y as f32, r));
-            }
         }
     }
+    // 3×3 non-maximum suppression over the positive responses, in
+    // row-major order (the order a full scan of the map visits them).
+    // Interior pixels have all eight neighbours inside the map; a
+    // neighbour that is not a positive response reads 0.
+    let map = &scratch.responses;
+    let wi = wu as isize;
+    let neighbours = [-wi - 1, -wi, -wi + 1, -1, 1, wi - 1, wi, wi + 1];
+    scratch.candidates.clear();
+    for &i in &scratch.positives {
+        let i = i as usize;
+        let r = map[i];
+        // A neighbour before the pixel in scan order (the first four)
+        // suppresses it on a tie; one after it must be strictly stronger.
+        let is_max = neighbours.iter().enumerate().all(|(k, &d)| {
+            let n = map[i.wrapping_add_signed(d)];
+            !(n > r || (n == r && k < 4))
+        });
+        if is_max {
+            let (x, y) = (i % wu, i / wu);
+            scratch
+                .candidates
+                .push(KeyPoint::new(x as f32, y as f32, r));
+        }
+    }
+    for &i in &scratch.positives {
+        scratch.responses[i as usize] = 0.0;
+    }
     bucket_keypoints_into(scratch, w, h, cfg, out);
+}
+
+/// The compass pre-test of the segment test for one row: `mask[i]` is 1
+/// when at least two of the four compass pixels `compass[·][i]` (12, 3,
+/// 6 and 9 o'clock) are brighter than `centre[i] + t`, or at least two
+/// are darker than `centre[i] − t` (FAST-9 needs that for any 9-pixel
+/// arc), and 0 otherwise. Pixels that fail score 0 in the full test too.
+///
+/// The bounds saturate in `u8`: no pixel exceeds 255 or falls below 0,
+/// so `p > min(c + t, 255)` equals `p > c + t` and `p < max(c − t, 0)`
+/// equals `p < c − t`. The loop has no branches and compiles to vector
+/// code on every target.
+fn compass_mask(centre: &[u8], compass: [&[u8]; 4], t: u8, mask: &mut [u8]) {
+    let n = mask.len();
+    let (c, [p0, p4, p8, p12]) = (&centre[..n], compass.map(|p| &p[..n]));
+    for i in 0..n {
+        let (hi, lo) = (c[i].saturating_add(t), c[i].saturating_sub(t));
+        let bright = u8::from(p0[i] > hi)
+            + u8::from(p4[i] > hi)
+            + u8::from(p8[i] > hi)
+            + u8::from(p12[i] > hi);
+        let dark = u8::from(p0[i] < lo)
+            + u8::from(p4[i] < lo)
+            + u8::from(p8[i] < lo)
+            + u8::from(p12[i] < lo);
+        mask[i] = u8::from(bright >= 2) | u8::from(dark >= 2);
+    }
 }
 
 /// Stable descending-by-response sort into place, using a caller-owned
@@ -284,15 +324,16 @@ fn bucket_keypoints_into(
     let per_cell = ((cfg.max_keypoints as u32) / (cols * rows).max(1)).max(1);
     scratch.spill.clear();
     for &kp in &scratch.candidates {
+        // Checked before the push, so a budget of 0 takes nothing.
+        if out.len() == cfg.max_keypoints {
+            break;
+        }
         let ci = (kp.y as u32 / cell) * cols + (kp.x as u32 / cell);
         if scratch.cell_counts[ci as usize] < per_cell {
             scratch.cell_counts[ci as usize] += 1;
             out.push(kp);
         } else {
             scratch.spill.push(kp);
-        }
-        if out.len() == cfg.max_keypoints {
-            break;
         }
     }
     // Fill remaining quota with the strongest spilled points.
@@ -391,6 +432,73 @@ mod tests {
     }
 
     #[test]
+    fn zero_budget_returns_no_keypoints() {
+        // The dense disc grid of `max_keypoints_is_respected`: enough
+        // candidates for the bucketing path, whose per-cell pass would
+        // otherwise take one key point from each of the 16 grid cells.
+        let img = GrayImage::from_fn(160, 160, |x, y| {
+            let dx = (x % 16) as f32 - 8.0;
+            let dy = (y % 16) as f32 - 8.0;
+            if dx * dx + dy * dy < 9.0 {
+                210
+            } else {
+                40
+            }
+        });
+        let cfg = FastConfig {
+            max_keypoints: 0,
+            ..FastConfig::default()
+        };
+        assert!(!detect_fast(&img, &FastConfig::default()).is_empty());
+        assert!(detect_fast(&img, &cfg).is_empty());
+    }
+
+    #[test]
+    fn saturating_bounds_match_i32_compass_test() {
+        // Every (centre, pixel, threshold): the `u8` bounds of
+        // `compass_mask` decide exactly as the `i32` comparisons.
+        for c in 0..=255u8 {
+            for t in 0..=255u8 {
+                let (hi, lo) = (c.saturating_add(t), c.saturating_sub(t));
+                let (ci, ti) = (i32::from(c), i32::from(t));
+                for p in 0..=255u8 {
+                    let pi = i32::from(p);
+                    assert_eq!(p > hi, pi > ci + ti, "bright c={c} p={p} t={t}");
+                    assert_eq!(p < lo, pi < ci - ti, "dark c={c} p={p} t={t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compass_mask_matches_counting_test() {
+        // Random rows of every length up to 70 (so every remainder of
+        // the vector width), thresholds at and between the extremes.
+        let mut state = 0x2545_F491u32;
+        let mut byte = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            (state >> 24) as u8
+        };
+        for n in 0..=70 {
+            for t in [0u8, 1, 22, 128, 254, 255] {
+                let rows: Vec<Vec<u8>> = (0..5).map(|_| (0..n).map(|_| byte()).collect()).collect();
+                let compass = [&rows[1][..], &rows[2][..], &rows[3][..], &rows[4][..]];
+                let mut mask = vec![7u8; n];
+                compass_mask(&rows[0], compass, t, &mut mask);
+                for i in 0..n {
+                    let c = i32::from(rows[0][i]);
+                    let t = i32::from(t);
+                    let bright = compass.iter().filter(|p| i32::from(p[i]) > c + t).count();
+                    let dark = compass.iter().filter(|p| i32::from(p[i]) < c - t).count();
+                    assert_eq!(mask[i], u8::from(bright >= 2 || dark >= 2), "n={n} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tiny_image_is_safe() {
         let img = GrayImage::new(6, 6);
         assert!(detect_fast(&img, &FastConfig::default()).is_empty());
@@ -420,6 +528,7 @@ mod tests {
             (&dense, &cfg_small), // exercises the bucketing (spill) path
             (&disc_image(), &FastConfig::default()),
             (&GrayImage::filled(64, 64, 100), &FastConfig::default()),
+            (&dense, &cfg_small),
         ] {
             detect_fast_into(img, cfg, &mut scratch, &mut out);
             let fresh = detect_fast(img, cfg);

@@ -47,7 +47,7 @@
 //! construction). The seed solve itself is preserved verbatim in
 //! `eudoxus_bench::baseline` as the golden reference.
 
-use crate::isa::Isa;
+use eudoxus_image::isa::Isa;
 use eudoxus_image::{FloatImage, GrayImage, Pyramid, RowGather, RowSampler};
 
 #[cfg(target_arch = "x86_64")]
@@ -1193,7 +1193,7 @@ mod tests {
     /// portable-vs-AVX2 comparisons below).
     #[cfg(target_arch = "x86_64")]
     fn avx2() -> Option<Isa> {
-        let isa = crate::isa::Avx2::detect().map(Isa::Avx2);
+        let isa = eudoxus_image::isa::Avx2::detect().map(Isa::Avx2);
         if isa.is_none() {
             eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
         }

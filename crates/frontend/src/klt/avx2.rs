@@ -14,7 +14,7 @@
 //! of every vector: the gathers skip them, the arithmetic does not.
 
 use super::{lss_lane_row, TrackBatch, KLT_LANES};
-use crate::isa::Avx2;
+use eudoxus_image::isa::Avx2;
 use eudoxus_image::FloatImage;
 use std::arch::x86_64::*;
 

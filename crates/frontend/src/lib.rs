@@ -76,6 +76,19 @@
 //! `crates/frontend/src/README.md` for the design notes and measured
 //! numbers.
 //!
+//! # Performance: the filtering and detection stencils
+//!
+//! The image-filtering (IF) blur has an AVX2 kernel in
+//! `eudoxus_image` (eight outputs per register, the horizontal pass
+//! streamed through a ring of `2r + 1` lines), picked through the same
+//! `eudoxus_image::isa::Isa` detection as the KLT and ORB kernels. FAST
+//! detection (FD, [`detect_fast_into`]) has one portable path: a
+//! branch-free compass pre-test per row that the compiler vectorizes,
+//! the full segment test only where that pre-test passes, and
+//! non-maximum suppression over the list of positive responses instead
+//! of the whole response map. Both are bit-identical to the seed
+//! kernels.
+//!
 //! # Example
 //!
 //! ```
@@ -92,7 +105,6 @@
 
 pub mod fast;
 pub mod feature;
-mod isa;
 pub mod klt;
 pub mod orb;
 pub mod pipeline;

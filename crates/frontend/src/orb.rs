@@ -11,7 +11,7 @@
 //! vector, bit-identical to the portable loop (see the crate docs).
 
 use crate::feature::{KeyPoint, OrbDescriptor};
-use crate::isa::Isa;
+use eudoxus_image::isa::Isa;
 use eudoxus_image::GrayImage;
 use std::sync::OnceLock;
 
@@ -88,11 +88,21 @@ fn sampling_pattern_soa() -> &'static [[f32; 256]; 4] {
     })
 }
 
+/// Half-width of the circular patch per row: `PATCH_SPANS[dy + R]` is
+/// `⌊√(R² − dy²)⌋` for `R = PATCH_RADIUS`, so row `dy` of the mask
+/// `dx² + dy² ≤ R²` is the contiguous range `|dx| ≤ PATCH_SPANS[dy + R]`.
+const PATCH_SPANS: [i64; 2 * PATCH_RADIUS as usize + 1] =
+    [0, 4, 5, 6, 7, 8, 8, 8, 8, 9, 8, 8, 8, 8, 7, 6, 5, 4, 0];
+
 /// Orientation of the patch by intensity centroid: `θ = atan2(m01, m10)`.
 ///
 /// [`compute_orb`] rejects key points within `PATCH_RADIUS + 1` of the
 /// border before calling this, so every tap is in bounds and reads the
 /// raw row directly (same pixels the clamped form would return).
+///
+/// The moments are integers: every term `dx·v` and every partial sum is
+/// below 2²⁰ in magnitude, so summing in `i32` gives exactly the value an
+/// `f64` sum in any order gives, and the conversion to `f64` is exact.
 fn patch_orientation(img: &GrayImage, cx: i64, cy: i64) -> f32 {
     let w = img.width() as i64;
     debug_assert!(
@@ -103,24 +113,21 @@ fn patch_orientation(img: &GrayImage, cx: i64, cy: i64) -> f32 {
         "patch_orientation requires an interior patch"
     );
     let raw = img.as_raw();
-    let mut m01 = 0.0f64;
-    let mut m10 = 0.0f64;
-    for dy in -PATCH_RADIUS..=PATCH_RADIUS {
-        // The circular mask `dx² + dy² ≤ R²` is a contiguous dx range per
-        // row; iterating exactly that range visits the same pixels in the
-        // same order as testing every offset.
-        let span = ((PATCH_RADIUS * PATCH_RADIUS - dy * dy) as f64).sqrt() as i64;
-        let base = ((cy + dy) * w + cx) as usize;
-        for dx in -span..=span {
-            debug_assert!(dx * dx + dy * dy <= PATCH_RADIUS * PATCH_RADIUS);
-            // SAFETY: the interior margin asserted above keeps
-            // `(cx + dx, cy + dy)` inside the image.
-            let v = unsafe { *raw.get_unchecked((base as i64 + dx) as usize) } as f64;
-            m10 += dx as f64 * v;
-            m01 += dy as f64 * v;
+    let mut m01 = 0i32;
+    let mut m10 = 0i32;
+    for (dy, &span) in (-PATCH_RADIUS..=PATCH_RADIUS).zip(&PATCH_SPANS) {
+        let centre = ((cy + dy) * w + cx) as usize;
+        // The interior margin asserted above keeps the row's span inside
+        // the image.
+        let row = &raw[centre - span as usize..=centre + span as usize];
+        let mut row_sum = 0i32;
+        for (dx, &v) in (-span as i32..).zip(row) {
+            m10 += dx * i32::from(v);
+            row_sum += i32::from(v);
         }
+        m01 += dy as i32 * row_sum;
     }
-    (m01.atan2(m10)) as f32
+    (f64::from(m01).atan2(f64::from(m10))) as f32
 }
 
 /// Computes an ORB descriptor at a key point on the (pre-smoothed) image.
@@ -275,8 +282,61 @@ mod tests {
         }
     }
 
+    #[test]
+    fn patch_spans_match_sqrt_formula() {
+        // The table must give the half-widths of the `sqrt` formula.
+        for dy in -PATCH_RADIUS..=PATCH_RADIUS {
+            let span = ((PATCH_RADIUS * PATCH_RADIUS - dy * dy) as f64).sqrt() as i64;
+            assert_eq!(PATCH_SPANS[(dy + PATCH_RADIUS) as usize], span, "dy={dy}");
+        }
+    }
+
+    /// The orientation as the `f64` moment sums over every offset of the
+    /// circular mask, in row-major order.
+    fn orientation_f64(img: &GrayImage, cx: i64, cy: i64) -> f32 {
+        let (mut m01, mut m10) = (0.0f64, 0.0f64);
+        for dy in -PATCH_RADIUS..=PATCH_RADIUS {
+            for dx in -PATCH_RADIUS..=PATCH_RADIUS {
+                if dx * dx + dy * dy <= PATCH_RADIUS * PATCH_RADIUS {
+                    let v = img.get((cx + dx) as u32, (cy + dy) as u32) as f64;
+                    m10 += dx as f64 * v;
+                    m01 += dy as f64 * v;
+                }
+            }
+        }
+        m01.atan2(m10) as f32
+    }
+
+    #[test]
+    fn integer_orientation_matches_f64_sums() {
+        // Random content, a ramp (one strong moment), a single bright
+        // pixel (sums of one nonzero term) and all-255 (the largest
+        // terms and partial sums).
+        let mut next = uniform(0x0123_4567_89AB_CDEF);
+        let noise = GrayImage::from_fn(61, 47, |_, _| (next() * 256.0) as u8);
+        let mut spot = GrayImage::new(61, 47);
+        spot.put(33, 20, 255);
+        let images = [
+            noise,
+            GrayImage::from_fn(61, 47, |x, y| (x * 4 + y) as u8),
+            spot,
+            GrayImage::filled(61, 47, 255),
+        ];
+        let m = PATCH_RADIUS + 1;
+        for img in &images {
+            for cy in m..img.height() as i64 - m {
+                for cx in m..img.width() as i64 - m {
+                    assert_eq!(
+                        patch_orientation(img, cx, cy).to_bits(),
+                        orientation_f64(img, cx, cy).to_bits(),
+                        "({cx}, {cy})"
+                    );
+                }
+            }
+        }
+    }
+
     /// A deterministic xorshift stream in `[0, 1)`.
-    #[cfg(target_arch = "x86_64")]
     fn uniform(seed: u64) -> impl FnMut() -> f32 {
         let mut state = seed;
         move || {
@@ -294,7 +354,7 @@ mod tests {
         // random sub-pixel key points over and past the whole image,
         // random rotations, plus absurd and NaN positions. Groups with a
         // sample outside the interior exercise the scalar fallback.
-        let Some(avx2) = crate::isa::Avx2::detect() else {
+        let Some(avx2) = eudoxus_image::isa::Avx2::detect() else {
             eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
             return;
         };
@@ -330,7 +390,7 @@ mod tests {
     fn simd_orb_descriptors_match_portable() {
         // Through compute_orb: orientation, border rejection and the
         // tests, oriented and plain, at random sub-pixel key points.
-        let Some(avx2) = crate::isa::Avx2::detect() else {
+        let Some(avx2) = eudoxus_image::isa::Avx2::detect() else {
             eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
             return;
         };

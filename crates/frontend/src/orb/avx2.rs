@@ -12,7 +12,7 @@
 
 use super::{brief_test, sampling_pattern, sampling_pattern_soa};
 use crate::feature::{KeyPoint, OrbDescriptor};
-use crate::isa::Avx2;
+use eudoxus_image::isa::Avx2;
 use eudoxus_image::GrayImage;
 use std::arch::x86_64::*;
 

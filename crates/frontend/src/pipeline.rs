@@ -120,7 +120,11 @@ pub struct FrontendTiming {
     /// Stereo matching: matching optimization + disparity refinement
     /// (MO + DR).
     pub stereo: Duration,
-    /// Temporal matching: derivatives + least-squares solves (DC + LSS).
+    /// Temporal matching: derivatives + least-squares solves (DC + LSS),
+    /// including the rebuild of the current left image's pyramid that
+    /// the solves read. The benchmark's `frontend.temporal_ms` layer is
+    /// this field, so it includes the rebuild too; the telemetry spans
+    /// split it into `pyramid_rebuild` and `track_pyramidal`.
     pub temporal: Duration,
 }
 

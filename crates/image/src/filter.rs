@@ -5,8 +5,20 @@
 //! image so the BRIEF comparisons are noise-robust. Filters here use
 //! clamped borders and separable passes — the same dataflow the
 //! accelerator's stencil buffers capture.
+//!
+//! On x86-64 hosts that report AVX2, [`gaussian_blur_into`] runs a
+//! `std::arch` kernel: eight outputs per register, the horizontal pass
+//! streamed through a ring of `2r + 1` lines as the stencil buffers
+//! stream it, and the vertical pass rounded straight to `u8`. It is
+//! bit-identical to [`separable_filter_into`] followed by
+//! [`FloatImage::to_gray_into`], which stay the portable path and the
+//! fallback for images narrower than `2r + 8` or not taller than `2r`.
 
 use crate::gray::{FloatImage, GrayImage};
+use crate::isa::Isa;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Builds a normalized 1-D Gaussian kernel for the given `sigma`. The
 /// radius is `ceil(3σ)`, covering > 99.7 % of the mass.
@@ -146,11 +158,14 @@ pub fn separable_filter_into(
 }
 
 /// Reusable workspaces for [`gaussian_blur_into`]: the kernel (cached per
-/// `sigma`) and the two float intermediates of the separable pass.
+/// `sigma`), the AVX2 kernel's line buffer, and the two float planes of
+/// the portable separable pass (left empty where the AVX2 kernel runs).
 #[derive(Debug, Clone, Default)]
 pub struct FilterScratch {
     kernel: Vec<f32>,
     kernel_sigma: f32,
+    #[cfg(target_arch = "x86_64")]
+    lines: Vec<f32>,
     tmp: FloatImage,
     filtered: FloatImage,
 }
@@ -171,6 +186,10 @@ pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
 /// zero heap allocations once `scratch` and `out` are warm for this image
 /// size, and bit-identical to [`gaussian_blur`].
 ///
+/// On x86-64 hosts that report AVX2 an AVX2 kernel runs (see
+/// [`isa`](crate::isa)); it gives the same bits as the portable
+/// [`separable_filter_into`] followed by [`FloatImage::to_gray_into`].
+///
 /// # Panics
 ///
 /// Panics if `sigma` is not positive.
@@ -180,11 +199,32 @@ pub fn gaussian_blur_into(
     scratch: &mut FilterScratch,
     out: &mut GrayImage,
 ) {
+    gaussian_blur_with(img, sigma, scratch, out, Isa::detect());
+}
+
+/// [`gaussian_blur_into`] on the kernel `isa` names.
+fn gaussian_blur_with(
+    img: &GrayImage,
+    sigma: f32,
+    scratch: &mut FilterScratch,
+    out: &mut GrayImage,
+    isa: Isa,
+) {
     assert!(sigma > 0.0, "sigma must be positive");
     if scratch.kernel.is_empty() || scratch.kernel_sigma != sigma {
         gaussian_kernel_into(sigma, &mut scratch.kernel);
         scratch.kernel_sigma = sigma;
     }
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(avx2) => avx2::gaussian_blur(avx2, img, scratch, out),
+        Isa::Portable => portable_blur(img, scratch, out),
+    }
+}
+
+/// The portable blur: [`separable_filter_into`] by `scratch.kernel` in
+/// both directions, then rounding to 8 bits.
+fn portable_blur(img: &GrayImage, scratch: &mut FilterScratch, out: &mut GrayImage) {
     separable_filter_into(
         img,
         &scratch.kernel,
@@ -259,5 +299,84 @@ mod tests {
     fn even_kernel_rejected() {
         let img = GrayImage::new(4, 4);
         let _ = separable_filter(&img, &[0.5, 0.5], &[1.0]);
+    }
+
+    /// Deterministic test content: xorshift noise, or (`saturated`) only
+    /// 0 and 255, so sums sit on the clamp and rounding edges.
+    #[cfg(target_arch = "x86_64")]
+    fn content(w: u32, h: u32, seed: u32, saturated: bool) -> GrayImage {
+        let mut state = seed | 1;
+        GrayImage::from_fn(w, h, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            match (saturated, state >> 24) {
+                (true, v) => 255 * (v as u8 & 1),
+                (false, v) => v as u8,
+            }
+        })
+    }
+
+    /// The AVX2 kernel, when the host has it (`None` skips the
+    /// portable-vs-AVX2 comparisons below).
+    #[cfg(target_arch = "x86_64")]
+    fn avx2() -> Option<Isa> {
+        let isa = crate::isa::Avx2::detect().map(Isa::Avx2);
+        if isa.is_none() {
+            eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
+        }
+        isa
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_blur_matches_portable_across_radii_and_sizes() {
+        // Every radius 1..=15, at the widths around the vector path's
+        // minimum (2r + 8) and a camera row, and the heights around its
+        // minimum (2r + 1). Each path reuses one scratch across all
+        // sizes, so a stale line buffer would show.
+        let Some(simd) = avx2() else { return };
+        let (mut portable, mut vector) = (FilterScratch::default(), FilterScratch::default());
+        let (mut want, mut got) = (GrayImage::default(), GrayImage::default());
+        for r in 1..=15u32 {
+            let sigma = (r as f32 - 0.5) / 3.0;
+            assert_eq!(gaussian_kernel(sigma).len() as u32, 2 * r + 1);
+            for w in [2 * r + 7, 2 * r + 8, 2 * r + 9, 640] {
+                for h in [2 * r, 2 * r + 1, 2 * r + 2] {
+                    for saturated in [false, true] {
+                        let img = content(w, h, r * 7919 + w * 31 + h, saturated);
+                        gaussian_blur_with(&img, sigma, &mut portable, &mut want, Isa::Portable);
+                        gaussian_blur_with(&img, sigma, &mut vector, &mut got, simd);
+                        assert_eq!(got, want, "r={r} {w}x{h} saturated={saturated}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_blur_matches_portable_on_frames_and_flat_content() {
+        // A camera-sized frame and odd sizes at the frontend's sigma and
+        // at radii 1, 3, 6 and 8, plus flat 0 and 255 images (every sum
+        // rounds at the clamp bounds).
+        let Some(simd) = avx2() else { return };
+        let (mut portable, mut vector) = (FilterScratch::default(), FilterScratch::default());
+        let (mut want, mut got) = (GrayImage::default(), GrayImage::default());
+        let frames = [
+            content(640, 480, 7, false),
+            content(333, 101, 11, true),
+            GrayImage::filled(97, 45, 0),
+            GrayImage::filled(97, 45, 255),
+        ];
+        for img in &frames {
+            for sigma in [0.3, 1.0, 1.2, 1.7, 2.45] {
+                gaussian_blur_with(img, sigma, &mut portable, &mut want, Isa::Portable);
+                gaussian_blur_with(img, sigma, &mut vector, &mut got, simd);
+                assert_eq!(got, want, "{:?} sigma={sigma}", img.dimensions());
+            }
+        }
+        // The AVX2 path never fills the portable float planes.
+        assert!(vector.filtered.as_raw().is_empty() && vector.tmp.as_raw().is_empty());
     }
 }

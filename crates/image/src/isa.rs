@@ -1,15 +1,17 @@
-//! Runtime selection of the frontend's bilinear-sampling kernels.
+//! Runtime selection of the SIMD kernels.
 //!
-//! The KLT DC/LSS phases and the rotated-BRIEF tests of ORB each have a
-//! portable implementation and, on x86-64, an AVX2 one. [`Isa::detect`]
-//! picks the AVX2 kernels when the running CPU reports the feature. Both
-//! produce bit-identical results, so the choice changes speed only.
+//! The Gaussian blur of this crate and the frontend's KLT DC/LSS phases
+//! and rotated-BRIEF tests each have a portable implementation and, on
+//! x86-64, an AVX2 one. [`Isa::detect`] picks the AVX2 kernels when the
+//! running CPU reports the feature. Both produce bit-identical results,
+//! so the choice changes speed only; this module is the one place that
+//! asks the CPU.
 
-/// Which implementation of the bilinear-sampling kernels runs.
+/// Which implementation of the SIMD kernels runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Isa {
-    /// Portable Rust: the lane-sequential KLT batch and the scalar ORB
-    /// tests.
+pub enum Isa {
+    /// Portable Rust: the separable filter's tap-outer loops, the
+    /// lane-sequential KLT batch and the scalar ORB tests.
     Portable,
     /// The `std::arch` AVX2 kernels.
     #[cfg(target_arch = "x86_64")]
@@ -18,7 +20,7 @@ pub(crate) enum Isa {
 
 impl Isa {
     /// AVX2 when the running CPU supports it, portable otherwise.
-    pub(crate) fn detect() -> Isa {
+    pub fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
             return Isa::Avx2(avx2);
@@ -32,12 +34,12 @@ impl Isa {
 /// `#[target_feature(enable = "avx2")]` kernels.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Avx2(());
+pub struct Avx2(());
 
 #[cfg(target_arch = "x86_64")]
 impl Avx2 {
     /// A token if the running CPU reports AVX2.
-    pub(crate) fn detect() -> Option<Avx2> {
+    pub fn detect() -> Option<Avx2> {
         std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
     }
 }

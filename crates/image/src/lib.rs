@@ -15,6 +15,11 @@
 //! plus the row-hoisted bilinear gathers in [`sample`] ([`RowSampler`]
 //! for one window row, [`RowGather`] for the lane-batched KLT solve).
 //!
+//! [`isa`] is the one place the stack asks the CPU for its vector
+//! extensions: [`gaussian_blur_into`] and the frontend's KLT and ORB kernels
+//! pick their AVX2 implementations through it, each bit-identical to
+//! its portable one.
+//!
 //! # Example
 //!
 //! ```
@@ -29,6 +34,7 @@ pub mod filter;
 pub mod gradient;
 pub mod gray;
 pub mod integral;
+pub mod isa;
 pub mod pyramid;
 pub mod sample;
 
