@@ -81,9 +81,10 @@ fn steady_state_kernels_are_allocation_free() {
     assert_eq!(d, 0, "warm Pyramid::rebuild_from allocated {d} times");
 
     // Batched KLT tracking between cached pyramids (the DC + LSS tasks):
-    // the `TrackBatch` SoA state — lane position/tensor/mask arrays plus
-    // the lane-interleaved window buffers — lives in `KltScratch`, so one
-    // warm-up call covers every subsequent batch.
+    // the staging and LSS `TrackBatch`es — lane position/tensor/mask
+    // arrays plus the lane-interleaved window buffers — and the
+    // per-track state the solve keeps between levels live in
+    // `KltScratch`, so one warm-up call covers every subsequent call.
     let prev_pyr = Pyramid::build((**left).clone(), klt_cfg.levels);
     let next_pyr = Pyramid::build((**next_left).clone(), klt_cfg.levels);
     let points: Vec<(f32, f32)> = kps.iter().take(100).map(|k| (k.x, k.y)).collect();
@@ -95,8 +96,8 @@ fn steady_state_kernels_are_allocation_free() {
         track_pyramidal_into(&prev_pyr, &next_pyr, &points, &klt_cfg, &mut klt, &mut outcomes)
     });
     assert_eq!(d, 0, "warm track_pyramidal_into allocated {d} times");
-    // Remainder batches (a masked tail, a partial batch, a lone lane)
-    // reuse the same SoA arrays — still zero allocations.
+    // Shorter track lists (a level tail, a partial batch, a lone lane)
+    // reuse the same arrays — still zero allocations.
     for count in [points.len() - 3, KLT_LANES + 1, KLT_LANES - 1, 1] {
         let pts = &points[..count];
         let d = alloc_delta(|| {

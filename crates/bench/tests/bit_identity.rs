@@ -220,8 +220,8 @@ fn orb_kernel_matches_seed_bitwise() {
 fn klt_kernel_matches_seed_bitwise_across_all_scenario_kinds() {
     // The batched lane-parallel solve must reproduce the seed scalar
     // solve bit for bit on real rendered frames of every scenario kind,
-    // and for track counts exercising the lane remainders: a lone lane,
-    // a partial batch, exactly one full batch, and full-batches-plus-tail.
+    // and for track counts from a lone lane through partial and whole
+    // batches to enough tracks that lanes are refilled mid-level.
     for kind in KINDS {
         let data = dataset(kind, 3);
         let klt_cfg = KltConfig::default();
@@ -239,7 +239,15 @@ fn klt_kernel_matches_seed_bitwise_across_all_scenario_kinds() {
         let mut scratch = KltScratch::default();
         let mut out = Vec::new();
 
-        for count in [1, KLT_LANES - 1, KLT_LANES, KLT_LANES + 1, points.len()] {
+        for count in [
+            1,
+            KLT_LANES - 1,
+            KLT_LANES,
+            KLT_LANES + 1,
+            2 * KLT_LANES + 1,
+            3 * KLT_LANES,
+            points.len(),
+        ] {
             let pts = &points[..count];
             let seed = track_pyramidal_baseline(prev, next, pts, &klt_cfg);
             track_pyramidal_into(&prev_pyr, &next_pyr, pts, &klt_cfg, &mut scratch, &mut out);

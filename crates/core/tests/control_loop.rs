@@ -318,6 +318,12 @@ fn control_binding_deadline_throttles_and_steers() {
             r.index,
             r.frontend_stats.keypoints_left
         );
+        let live = r.frontend_stats.tracks_continued + r.frontend_stats.tracks_spawned;
+        assert!(
+            live <= directive.max_tracks,
+            "frame {}: directive did not cap the live tracks ({live} live)",
+            r.index
+        );
     }
 }
 

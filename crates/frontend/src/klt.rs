@@ -11,13 +11,22 @@
 //!
 //! The paper's DC→LSS pipeline is a *regular per-track* computation — the
 //! accelerator exploits that by streaming tracks through fixed hardware
-//! lanes (Sec. V, `tm_per_track` cycles each). The CPU hot path mirrors
-//! the structure: [`track_pyramidal_into`] solves tracks in batches of
-//! [`KLT_LANES`], holding per-track state (positions, 2×2 normal matrices,
-//! residuals, convergence masks) as parallel SoA arrays in a `TrackBatch`
-//! inside [`KltScratch`]. Per-lane arithmetic is exactly the scalar
-//! sequence, so the batch is **bit-identical** to solving each track
-//! alone.
+//! lanes one after another (Sec. V, `tm_per_track` cycles each). The CPU
+//! hot path mirrors the structure: [`track_pyramidal_into`] runs the
+//! pyramid level by level, coarse to fine, and streams each level's
+//! tracks through [`KLT_LANES`] lanes, holding per-lane state (positions,
+//! 2×2 normal matrices, window buffers, masks) as parallel SoA arrays in
+//! a `TrackBatch` inside [`KltScratch`]. A *staging* batch runs the DC
+//! phase of the next eight waiting tracks at full width; a track that
+//! fails the determinant test retires there without taking an LSS lane.
+//! Before each LSS iteration, every lane of the *LSS* batch freed by
+//! convergence or by the iteration budget takes the next staged track
+//! (a plain copy of its window buffers and scalars), and the staging
+//! batch restages when it runs dry. Each track's displacement, residual,
+//! iteration count and degenerate flag wait in `KltScratch` between
+//! levels. Per-lane arithmetic is exactly the scalar sequence, so the
+//! solve is **bit-identical** to solving each track alone, whichever lane
+//! and neighbors a track gets.
 //!
 //! **Kernels**: on x86-64 hosts that report AVX2 (checked at run time),
 //! the DC and LSS phases run `std::arch` kernels in which one 256-bit
@@ -28,16 +37,18 @@
 //! Elsewhere the portable batch runs the lanes one after another: a
 //! row-hoisted bilinear gather (`eudoxus_image::RowGather`) and a
 //! fixed-width unrolled inner loop give the core eight independent `f32`
-//! accumulator chains where the scalar solve serializes on one.
+//! accumulator chains where the scalar solve serializes on one. Both
+//! kernel sets run under the same refill loop.
 //!
-//! **Masking contract**: a lane that converges (update norm below
-//! `epsilon`) or goes degenerate (determinant test) stops updating its
-//! state but *stays in the batch* — it is not compacted out. The
-//! portable batch skips its gather and its update, so a batch performs
-//! exactly the scalar solve's total sample count (not
-//! `lanes × max(iterations)`). The AVX2 kernels skip its gathers but
-//! still spend its vector slot. The iteration loop ends when every lane
-//! is masked or `max_iterations` is reached.
+//! **Masking contract**: a lane is live while it holds a track. A free
+//! lane is skipped by the portable batch's gathers and updates (so the
+//! solve performs exactly the scalar solve's sample count) and by the
+//! AVX2 gathers, but it still spends its slot in every AVX2 vector
+//! instruction. Lanes are refilled the moment their track leaves, so
+//! they idle only in each level's tail, once no track is left to stage:
+//! on rendered drone frames 97 % of LSS lane slots do useful work
+//! ([`KltScratch::lss_vector_iterations`]). A level ends when every
+//! track has left the lanes.
 //!
 //! **Scalar fallback**: [`track_one`]/[`track_one_with`] run the original
 //! scalar solve (one track, no lanes). Inside the batch, a lane whose
@@ -123,16 +134,18 @@ impl TrackOutcome {
     }
 }
 
-/// SoA state of one batch of up to [`KLT_LANES`] tracks: parallel arrays
+/// SoA state of up to [`KLT_LANES`] tracks, one per lane: parallel arrays
 /// indexed by lane. The window buffers are lane-interleaved
 /// (`buf[pixel * KLT_LANES + lane]`) so the LSS inner loop reads each
-/// pixel's lane vector from contiguous memory.
+/// pixel's lane vector from contiguous memory. The solve keeps two: the
+/// staging batch the DC phase fills and the LSS batch the solve
+/// iterates, whose free lanes the staged tracks refill.
 #[derive(Debug, Clone, Default)]
 struct TrackBatch {
-    /// Full-resolution input positions.
-    x: [f32; KLT_LANES],
-    y: [f32; KLT_LANES],
-    /// Level-scaled positions.
+    /// Index of the track each lane holds (meaningful where `live`).
+    track: [usize; KLT_LANES],
+    /// Level-scaled positions (the LSS phase reads only `py`; its
+    /// column positions are in `txs`).
     px: [f32; KLT_LANES],
     py: [f32; KLT_LANES],
     /// Accumulated displacement estimate at the current level.
@@ -143,17 +156,11 @@ struct TrackBatch {
     a12: [f32; KLT_LANES],
     a22: [f32; KLT_LANES],
     inv: [f32; KLT_LANES],
-    /// Mean absolute residual of the last executed iteration.
-    residual: [f32; KLT_LANES],
-    /// Lane holds a real, non-degenerate track (padding lanes and
-    /// degenerate lanes are dead: they stay resident but are masked out
-    /// of every gather and update).
+    /// Lane holds a track: staged and not yet handed out (staging
+    /// batch), or still iterating at the current level (LSS batch). Free
+    /// lanes are masked out of every gather and update.
     live: [bool; KLT_LANES],
-    /// Lane failed the determinant test at some level.
-    degenerate: [bool; KLT_LANES],
-    /// Lane is still iterating at the current level (convergence mask).
-    iterating: [bool; KLT_LANES],
-    /// LSS iterations executed per lane, summed over levels.
+    /// LSS iterations the lane's track has run at the current level.
     iters: [u32; KLT_LANES],
     /// Lane-interleaved template window values, `(2r+1)² × KLT_LANES`.
     template: Vec<f32>,
@@ -168,9 +175,65 @@ struct TrackBatch {
     grid: Vec<f32>,
 }
 
+impl TrackBatch {
+    /// Sizes the window buffers for windows of `w × w` pixels.
+    fn resize_windows(&mut self, w: usize) {
+        self.template.resize(w * w * KLT_LANES, 0.0);
+        self.grad_x.resize(w * w * KLT_LANES, 0.0);
+        self.grad_y.resize(w * w * KLT_LANES, 0.0);
+        self.txs.resize(w * KLT_LANES, 0.0);
+    }
+}
+
+/// Per-track state of the batched solve that outlives a lane: a track
+/// takes a lane once per pyramid level and hands this back when it
+/// leaves.
+#[derive(Debug, Clone, Copy)]
+struct TrackState {
+    /// Displacement estimate, carried from level to level.
+    gx: f32,
+    gy: f32,
+    /// Mean absolute residual of the last executed iteration.
+    residual: f32,
+    /// Failed the determinant test at some level (and stopped there).
+    degenerate: bool,
+}
+
+impl TrackState {
+    /// A track that has not started: no displacement, no residual yet.
+    const START: TrackState = TrackState {
+        gx: 0.0,
+        gy: 0.0,
+        residual: f32::MAX,
+        degenerate: false,
+    };
+
+    /// The outcome of the track that started at `(x, y)` in a frame whose
+    /// full-resolution plane is `base`.
+    fn outcome(&self, x: f32, y: f32, base: &FloatImage, cfg: &KltConfig) -> TrackOutcome {
+        if self.degenerate {
+            return TrackOutcome::Degenerate;
+        }
+        let nx = x + self.gx;
+        let ny = y + self.gy;
+        let m = cfg.window_radius as f32;
+        if nx < m || ny < m || nx >= base.width() as f32 - m || ny >= base.height() as f32 - m {
+            TrackOutcome::OutOfBounds
+        } else if self.residual > cfg.max_residual {
+            TrackOutcome::Lost
+        } else {
+            TrackOutcome::Tracked {
+                x: nx,
+                y: ny,
+                residual: self.residual,
+            }
+        }
+    }
+}
+
 /// Reusable state for the LK solve: per-track window buffers (scalar
-/// path), the SoA `TrackBatch` (batched path), and the f32 plane copies
-/// of the pyramids. One warm-up call makes every subsequent track
+/// path), the staging and LSS `TrackBatch`es and the per-track state
+/// (batched path). One warm-up call makes every subsequent track
 /// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct KltScratch {
@@ -186,20 +249,21 @@ pub struct KltScratch {
     /// (f32 addition rounds, so this can fail near binade boundaries —
     /// those columns fall back to direct sampling).
     exact_x: Vec<(bool, bool)>,
-    /// f32 copies of the pyramid levels being tracked between. Every
-    /// `u8` is exact in `f32`, so sampling the planes is bit-identical
-    /// to sampling the `u8` levels — without the four integer→float
-    /// converts inside the innermost loop of the solve.
-    prev_planes: Vec<FloatImage>,
-    next_planes: Vec<FloatImage>,
     /// Per-column sample x positions `px + dx` (identical computation to
     /// the inline form, hoisted out of the iteration loops).
     txs: Vec<f32>,
-    /// SoA state of the batched solve.
-    batch: TrackBatch,
+    /// Tracks whose DC phase ran and that wait for an LSS lane.
+    stage: TrackBatch,
+    /// Tracks in their LSS iterations.
+    lanes: TrackBatch,
+    /// Per-track state of the batched solve, one entry per input point.
+    tracks: Vec<TrackState>,
     /// Per-point LSS iteration counts of the most recent call (see
     /// [`iteration_counts`](Self::iteration_counts)).
     iterations: Vec<u32>,
+    /// LSS batch iterations of the most recent call (see
+    /// [`lss_vector_iterations`](Self::lss_vector_iterations)).
+    vector_iterations: u64,
 }
 
 impl KltScratch {
@@ -212,17 +276,15 @@ impl KltScratch {
     pub fn iteration_counts(&self) -> &[u32] {
         &self.iterations
     }
-}
 
-/// Copies pyramid levels into reusable f32 planes (allocation-free once
-/// the plane buffers are warm at the stream's image size).
-fn pyramid_to_planes(pyr: &Pyramid, planes: &mut Vec<FloatImage>) {
-    planes.truncate(pyr.levels());
-    while planes.len() < pyr.levels() {
-        planes.push(FloatImage::default());
-    }
-    for (plane, i) in planes.iter_mut().zip(0..pyr.levels()) {
-        plane.copy_from_gray(pyr.level(i));
+    /// LSS iterations of the whole [`KLT_LANES`]-wide batch run by the
+    /// most recent [`track_pyramidal_into`] call (zero after
+    /// [`track_one_with`]). Each advances every occupied lane by one
+    /// iteration, so the sum of [`iteration_counts`](Self::iteration_counts)
+    /// divided by `KLT_LANES ×` this count is the solve's lane occupancy:
+    /// the share of lane slots that did useful work.
+    pub fn lss_vector_iterations(&self) -> u64 {
+        self.vector_iterations
     }
 }
 
@@ -424,18 +486,15 @@ fn track_level(
 
 /// One LSS iteration of the batched solve: accumulates the 2×2 normal
 /// equation right-hand sides and the absolute-residual sums for every
-/// lane still iterating. Each active lane's accumulation visits the
-/// window in the same row-major order as the scalar solve with the same
-/// arithmetic, so per-lane results are bit-identical to
-/// [`track_level`]'s iteration.
+/// live lane. Each live lane's accumulation visits the window in the
+/// same row-major order as the scalar solve with the same arithmetic, so
+/// per-lane results are bit-identical to [`track_level`]'s iteration.
 ///
-/// Masked lanes (converged, degenerate, padding) stay resident in the
-/// batch but are skipped by the gather — their accumulators would be
-/// discarded anyway, and skipping keeps the batch's total sample count
-/// equal to the scalar solve's instead of `lanes × max(iterations)`.
-/// The fast path requires every *active* lane's sample run on the
-/// current window row to be interior; rows that fail fall back to
-/// [`lss_lane_row`] for every active lane.
+/// Free lanes (only in a level's tail, when no track is left to refill
+/// them) are skipped by the gather, so the batch's total sample count
+/// equals the scalar solve's. The fast path requires every live lane's
+/// sample run on the current window row to be interior; rows that fail
+/// fall back to [`lss_lane_row`] for every live lane.
 fn lss_batch_iteration(
     next: &FloatImage,
     b: &TrackBatch,
@@ -445,7 +504,7 @@ fn lss_batch_iteration(
     let mut b1 = [0.0f32; KLT_LANES];
     let mut b2 = [0.0f32; KLT_LANES];
     let mut res = [0.0f32; KLT_LANES];
-    let active = b.iterating;
+    let active = b.live;
     let full = active == [true; KLT_LANES];
     // Hoisted lane state and window buffers (read-only for the whole
     // iteration; local copies free the optimizer from aliasing doubts).
@@ -505,10 +564,10 @@ fn lss_batch_iteration(
                 }
             }
         } else if all_interior {
-            // Same micro-kernel with the convergence mask applied: the
-            // mask is loop-invariant for the whole iteration, so the
-            // skip branch predicts perfectly and masked lanes cost
-            // nothing but the test.
+            // Same micro-kernel with the lane mask applied: the mask is
+            // loop-invariant for the whole iteration, so the skip branch
+            // predicts perfectly and free lanes cost nothing but the
+            // test.
             for col in 0..w {
                 let pix = (base + col) * KLT_LANES;
                 let txc = col * KLT_LANES;
@@ -579,169 +638,220 @@ fn lss_lane_row(
     (b1, b2, res)
 }
 
-/// Solves one batch of up to [`KLT_LANES`] tracks through the pyramid,
-/// coarse to fine, and appends one [`TrackOutcome`] per input point to
-/// `out` (and its iteration count to the scratch diagnostics).
-///
-/// Per-lane state follows exactly the scalar recurrence of
-/// [`track_one_planes`]; lanes beyond `pts.len()` are padding (dead from
-/// the start) and lanes that fail the determinant test die in place.
-/// Dead and converged lanes stay resident in the batch but are masked
-/// out of every gather and update. `isa` picks the DC and LSS kernels;
-/// every choice gives the same bits.
-fn track_batch_planes(
-    prev: &[FloatImage],
-    next: &[FloatImage],
-    pts: &[(f32, f32)],
-    cfg: &KltConfig,
+/// Runs the DC phase of the next [`KLT_LANES`] waiting tracks of a level
+/// into the staging batch: tracks from `*waiting` on that have not gone
+/// degenerate take the lanes in order, `isa` picks the DC kernel (the
+/// AVX2 kernel solves every lane it can prove, `dc_window` the rest), and
+/// a track that fails the determinant test retires here, flagged
+/// degenerate, without ever taking an LSS lane. Returns `false` when no
+/// track was left to stage.
+fn stage_tracks(
+    prev: &FloatImage,
+    scale: f32,
+    points: &[(f32, f32)],
+    waiting: &mut usize,
     scratch: &mut KltScratch,
-    out: &mut Vec<TrackOutcome>,
+    cfg: &KltConfig,
     isa: Isa,
-) {
-    debug_assert!(!pts.is_empty() && pts.len() <= KLT_LANES);
-    let n = pts.len();
+) -> bool {
+    let KltScratch {
+        samples,
+        exact_x,
+        stage,
+        tracks,
+        ..
+    } = scratch;
     let r = cfg.window_radius;
     let w = (2 * r + 1) as usize;
     let n_px = (w * w) as f32;
-    let levels = prev.len().min(next.len());
-
-    let scratch = &mut *scratch;
-    let b = &mut scratch.batch;
-    b.template.resize(w * w * KLT_LANES, 0.0);
-    b.grad_x.resize(w * w * KLT_LANES, 0.0);
-    b.grad_y.resize(w * w * KLT_LANES, 0.0);
-    b.txs.resize(w * KLT_LANES, 0.0);
-    for l in 0..KLT_LANES {
-        let (x, y) = if l < n { pts[l] } else { (0.0, 0.0) };
-        b.x[l] = x;
-        b.y[l] = y;
-        b.gx[l] = 0.0;
-        b.gy[l] = 0.0;
-        b.residual[l] = f32::MAX;
-        b.live[l] = l < n;
-        b.degenerate[l] = false;
-        b.iters[l] = 0;
+    stage.live = [false; KLT_LANES];
+    let mut filled = 0;
+    while filled < KLT_LANES && *waiting < points.len() {
+        let t = *waiting;
+        *waiting += 1;
+        if tracks[t].degenerate {
+            continue;
+        }
+        let (x, y) = points[t];
+        stage.track[filled] = t;
+        stage.px[filled] = x / scale;
+        stage.py[filled] = y / scale;
+        stage.live[filled] = true;
+        filled += 1;
     }
-
-    for li in (0..levels).rev() {
-        // Same scale law as `Pyramid::scale`.
-        let scale = (1u32 << li) as f32;
-        let prev_p = &prev[li];
-        let next_p = &next[li];
-        for l in 0..KLT_LANES {
-            if b.live[l] {
-                b.px[l] = b.x[l] / scale;
-                b.py[l] = b.y[l] / scale;
-            }
-            // Dead lanes (padding, degenerate) keep stale positions —
-            // they are masked out of every gather, so the values are
-            // never sampled.
-        }
-
-        // DC phase: the AVX2 kernel solves every live lane it can prove
-        // (interior grid, exact ±1 taps) and returns their bit mask;
-        // `dc_window` solves the rest.
-        let solved: u32 = match isa {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2(avx2) => avx2::dc_lanes(avx2, prev_p, r, b),
-            Isa::Portable => 0,
-        };
-        for l in 0..KLT_LANES {
-            if !b.live[l] {
-                continue;
-            }
-            let (a11, a12, a22) = if solved & (1 << l) != 0 {
-                (b.a11[l], b.a12[l], b.a22[l])
-            } else {
-                dc_window(
-                    prev_p,
-                    b.px[l],
-                    b.py[l],
-                    r,
-                    &mut scratch.samples,
-                    &mut scratch.exact_x,
-                    &mut b.template,
-                    &mut b.grad_x,
-                    &mut b.grad_y,
-                    &mut b.txs,
-                    KLT_LANES,
-                    l,
-                )
-            };
-            let det = a11 * a22 - a12 * a12;
-            if det < cfg.min_determinant * n_px * n_px {
-                // Scalar path stops this track at the first degenerate
-                // level; the lane dies in place.
-                b.live[l] = false;
-                b.degenerate[l] = true;
-                continue;
-            }
-            b.a11[l] = a11;
-            b.a12[l] = a12;
-            b.a22[l] = a22;
-            b.inv[l] = 1.0 / det;
-        }
-
-        // LSS phase: lane-masked Gauss–Newton iterations.
-        b.iterating = b.live;
-        for _ in 0..cfg.max_iterations {
-            if !b.iterating.contains(&true) {
-                break;
-            }
-            let (b1, b2, res) = match isa {
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2(avx2) => avx2::lss_iteration(avx2, next_p, b, w, r),
-                Isa::Portable => lss_batch_iteration(next_p, b, w, r),
-            };
-            for l in 0..KLT_LANES {
-                if !b.iterating[l] {
-                    continue;
-                }
-                b.iters[l] += 1;
-                b.residual[l] = res[l] / n_px;
-                let ux = (b.a22[l] * b1[l] - b.a12[l] * b2[l]) * b.inv[l];
-                let uy = (b.a11[l] * b2[l] - b.a12[l] * b1[l]) * b.inv[l];
-                b.gx[l] -= ux;
-                b.gy[l] -= uy;
-                if (ux * ux + uy * uy).sqrt() < cfg.epsilon {
-                    b.iterating[l] = false;
-                }
-            }
-        }
-
-        if li > 0 {
-            for l in 0..KLT_LANES {
-                if b.live[l] {
-                    b.gx[l] *= 2.0;
-                    b.gy[l] *= 2.0;
-                }
-            }
-        }
+    if filled == 0 {
+        return false;
     }
-
-    let base = &next[0];
-    let m = cfg.window_radius as f32;
-    for l in 0..n {
-        let outcome = if b.degenerate[l] {
-            TrackOutcome::Degenerate
+    // Free lanes keep stale positions: the DC kernel masks them out.
+    let solved: u32 = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(avx2) => avx2::dc_lanes(avx2, prev, r, stage),
+        Isa::Portable => 0,
+    };
+    for l in 0..filled {
+        let (a11, a12, a22) = if solved & (1 << l) != 0 {
+            (stage.a11[l], stage.a12[l], stage.a22[l])
         } else {
-            let nx = b.x[l] + b.gx[l];
-            let ny = b.y[l] + b.gy[l];
-            if nx < m || ny < m || nx >= base.width() as f32 - m || ny >= base.height() as f32 - m
-            {
-                TrackOutcome::OutOfBounds
-            } else if b.residual[l] > cfg.max_residual {
-                TrackOutcome::Lost
-            } else {
-                TrackOutcome::Tracked {
-                    x: nx,
-                    y: ny,
-                    residual: b.residual[l],
+            dc_window(
+                prev,
+                stage.px[l],
+                stage.py[l],
+                r,
+                samples,
+                exact_x,
+                &mut stage.template,
+                &mut stage.grad_x,
+                &mut stage.grad_y,
+                &mut stage.txs,
+                KLT_LANES,
+                l,
+            )
+        };
+        let det = a11 * a22 - a12 * a12;
+        if det < cfg.min_determinant * n_px * n_px {
+            // The scalar solve stops this track at its first degenerate
+            // level.
+            tracks[stage.track[l]].degenerate = true;
+            stage.live[l] = false;
+            continue;
+        }
+        stage.a11[l] = a11;
+        stage.a12[l] = a12;
+        stage.a22[l] = a22;
+        stage.inv[l] = 1.0 / det;
+    }
+    true
+}
+
+/// Moves the staged track in lane `from` of `stage` into the free LSS
+/// lane `to` of `lanes`: its window buffers, its DC scalars and its
+/// carried displacement `(gx, gy)`. A plain per-lane copy: an AVX2
+/// permute and blend that moves every lane of a refill at once measured
+/// slower, because a refill moves two lanes on average.
+fn refill_lane(
+    stage: &TrackBatch,
+    from: usize,
+    lanes: &mut TrackBatch,
+    to: usize,
+    gx: f32,
+    gy: f32,
+) {
+    for (dst, src) in [
+        (&mut lanes.template, &stage.template),
+        (&mut lanes.grad_x, &stage.grad_x),
+        (&mut lanes.grad_y, &stage.grad_y),
+        (&mut lanes.txs, &stage.txs),
+    ] {
+        let (dst, _) = dst.as_chunks_mut::<KLT_LANES>();
+        let (src, _) = src.as_chunks::<KLT_LANES>();
+        for (d, s) in dst.iter_mut().zip(src) {
+            d[to] = s[from];
+        }
+    }
+    lanes.track[to] = stage.track[from];
+    lanes.py[to] = stage.py[from];
+    lanes.a11[to] = stage.a11[from];
+    lanes.a12[to] = stage.a12[from];
+    lanes.a22[to] = stage.a22[from];
+    lanes.inv[to] = stage.inv[from];
+    lanes.gx[to] = gx;
+    lanes.gy[to] = gy;
+    lanes.iters[to] = 0;
+    lanes.live[to] = true;
+}
+
+/// Solves every live track on one pyramid level (`scale = 2^level`).
+///
+/// The level's tracks stream through the [`KLT_LANES`] lanes of the LSS
+/// batch in input order: before each LSS iteration, every lane freed by
+/// convergence or by the iteration budget takes the next staged track,
+/// and the staging batch runs the DC phase of the next eight waiting
+/// tracks whenever it runs dry. A track's arithmetic is the scalar
+/// recurrence of [`track_level`] whichever lane it lands in. Only the
+/// level's last iterations, when no track is left to refill a lane, run
+/// with free lanes. `isa` picks the DC and LSS kernels; every choice
+/// gives the same bits.
+fn solve_level(
+    prev: &FloatImage,
+    next: &FloatImage,
+    scale: f32,
+    points: &[(f32, f32)],
+    cfg: &KltConfig,
+    scratch: &mut KltScratch,
+    isa: Isa,
+) {
+    let r = cfg.window_radius;
+    let w = (2 * r + 1) as usize;
+    let n_px = (w * w) as f32;
+    let mut waiting = 0;
+    let mut staged = KLT_LANES;
+    loop {
+        // Refill: each free lane takes the next staged track, restaging
+        // when the staging batch runs dry. With a zero iteration budget
+        // no track takes a lane, so this stages (runs the DC phase of)
+        // every track of the level.
+        let mut lane = 0;
+        'refill: while lane < KLT_LANES {
+            if scratch.lanes.live[lane] {
+                lane += 1;
+                continue;
+            }
+            while staged == KLT_LANES || !scratch.stage.live[staged] {
+                if staged < KLT_LANES {
+                    staged += 1;
+                } else if stage_tracks(prev, scale, points, &mut waiting, scratch, cfg, isa) {
+                    staged = 0;
+                } else {
+                    break 'refill;
                 }
             }
+            scratch.stage.live[staged] = false;
+            if cfg.max_iterations > 0 {
+                let t = scratch.tracks[scratch.stage.track[staged]];
+                refill_lane(&scratch.stage, staged, &mut scratch.lanes, lane, t.gx, t.gy);
+            }
+            staged += 1;
+        }
+        let KltScratch {
+            lanes,
+            tracks,
+            iterations,
+            vector_iterations,
+            ..
+        } = &mut *scratch;
+        if !lanes.live.contains(&true) {
+            break;
+        }
+
+        // LSS phase: one Gauss–Newton iteration of every live lane.
+        let (b1, b2, res) = match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2(avx2) => avx2::lss_iteration(avx2, next, lanes, w, r),
+            Isa::Portable => lss_batch_iteration(next, lanes, w, r),
         };
-        out.push(outcome);
-        scratch.iterations.push(b.iters[l]);
+        *vector_iterations += 1;
+        for l in 0..KLT_LANES {
+            if !lanes.live[l] {
+                continue;
+            }
+            let t = lanes.track[l];
+            lanes.iters[l] += 1;
+            iterations[t] += 1;
+            tracks[t].residual = res[l] / n_px;
+            let ux = (lanes.a22[l] * b1[l] - lanes.a12[l] * b2[l]) * lanes.inv[l];
+            let uy = (lanes.a11[l] * b2[l] - lanes.a12[l] * b1[l]) * lanes.inv[l];
+            lanes.gx[l] -= ux;
+            lanes.gy[l] -= uy;
+            if (ux * ux + uy * uy).sqrt() < cfg.epsilon
+                || lanes.iters[l] as usize == cfg.max_iterations
+            {
+                // Converged or out of budget: the lane is free for the
+                // next track.
+                tracks[t].gx = lanes.gx[l];
+                tracks[t].gy = lanes.gy[l];
+                lanes.live[l] = false;
+            }
+        }
     }
 }
 
@@ -769,11 +879,11 @@ pub fn track_pyramidal(
 }
 
 /// Tracks points between two pre-built pyramids into a reusable output
-/// vector, solving the points in lane-parallel batches of [`KLT_LANES`]
-/// (the final batch may be a masked remainder). Bit-identical to
-/// [`track_pyramidal`] and to tracking each point alone with
-/// [`track_one_with`]; zero heap allocations once `scratch` and `out`
-/// are warm.
+/// vector. Each pyramid level's tracks stream through [`KLT_LANES`]
+/// lane-parallel slots, a converged track's lane refilled with the next
+/// waiting one. Bit-identical to [`track_pyramidal`] and to tracking
+/// each point alone with [`track_one_with`]; zero heap allocations once
+/// `scratch` and `out` are warm.
 pub fn track_pyramidal_into(
     prev_pyr: &Pyramid,
     next_pyr: &Pyramid,
@@ -795,17 +905,45 @@ fn track_pyramidal_with(
     out: &mut Vec<TrackOutcome>,
     isa: Isa,
 ) {
-    out.clear();
+    let w = (2 * cfg.window_radius + 1) as usize;
+    scratch.stage.resize_windows(w);
+    scratch.lanes.resize_windows(w);
+    // Every level ends with all lanes free; a call starts that way too.
+    scratch.lanes.live = [false; KLT_LANES];
+    scratch.tracks.clear();
+    scratch.tracks.resize(points.len(), TrackState::START);
     scratch.iterations.clear();
-    let mut prev_planes = std::mem::take(&mut scratch.prev_planes);
-    let mut next_planes = std::mem::take(&mut scratch.next_planes);
-    pyramid_to_planes(prev_pyr, &mut prev_planes);
-    pyramid_to_planes(next_pyr, &mut next_planes);
-    for chunk in points.chunks(KLT_LANES) {
-        track_batch_planes(&prev_planes, &next_planes, chunk, cfg, scratch, out, isa);
+    scratch.iterations.resize(points.len(), 0);
+    scratch.vector_iterations = 0;
+    let levels = prev_pyr.levels().min(next_pyr.levels());
+    for li in (0..levels).rev() {
+        // Same scale law as `Pyramid::scale`.
+        let scale = (1u32 << li) as f32;
+        solve_level(
+            prev_pyr.plane(li),
+            next_pyr.plane(li),
+            scale,
+            points,
+            cfg,
+            scratch,
+            isa,
+        );
+        if li > 0 {
+            for t in scratch.tracks.iter_mut().filter(|t| !t.degenerate) {
+                t.gx *= 2.0;
+                t.gy *= 2.0;
+            }
+        }
     }
-    scratch.prev_planes = prev_planes;
-    scratch.next_planes = next_planes;
+
+    out.clear();
+    let base = next_pyr.plane(0);
+    out.extend(
+        points
+            .iter()
+            .zip(&scratch.tracks)
+            .map(|(&(x, y), t)| t.outcome(x, y, base, cfg)),
+    );
 }
 
 /// Tracks a single point through the pyramid, coarse to fine.
@@ -821,10 +959,8 @@ pub fn track_one(
 
 /// [`track_one`] with caller-owned window buffers (allocation-free once
 /// `scratch` is warm). This is the scalar fallback path: one track, no
-/// lane batching — bit-identical to the lane the batched solve would
-/// give the same point. Converts both pyramids to f32 planes per call —
-/// when tracking many points between the same pyramids, use
-/// [`track_pyramidal_into`], which converts once and batches the solve.
+/// lanes — bit-identical to the lane the batched solve would give the
+/// same point.
 pub fn track_one_with(
     prev_pyr: &Pyramid,
     next_pyr: &Pyramid,
@@ -834,73 +970,35 @@ pub fn track_one_with(
     scratch: &mut KltScratch,
 ) -> TrackOutcome {
     scratch.iterations.clear();
-    let mut prev_planes = std::mem::take(&mut scratch.prev_planes);
-    let mut next_planes = std::mem::take(&mut scratch.next_planes);
-    pyramid_to_planes(prev_pyr, &mut prev_planes);
-    pyramid_to_planes(next_pyr, &mut next_planes);
-    let outcome = track_one_planes(&prev_planes, &next_planes, x, y, cfg, scratch);
-    scratch.prev_planes = prev_planes;
-    scratch.next_planes = next_planes;
-    outcome
-}
-
-/// Tracks one point between pre-converted f32 pyramid planes (the scalar
-/// solve).
-fn track_one_planes(
-    prev: &[FloatImage],
-    next: &[FloatImage],
-    x: f32,
-    y: f32,
-    cfg: &KltConfig,
-    scratch: &mut KltScratch,
-) -> TrackOutcome {
-    let levels = prev.len().min(next.len());
-    let mut gx = 0.0f32;
-    let mut gy = 0.0f32;
-    let mut residual = f32::MAX;
-    let mut degenerate = false;
+    scratch.vector_iterations = 0;
+    let levels = prev_pyr.levels().min(next_pyr.levels());
+    let mut track = TrackState::START;
     let mut iters_total = 0u32;
     for li in (0..levels).rev() {
         // Same scale law as `Pyramid::scale`.
         let scale = (1u32 << li) as f32;
         let (lx, ly) = (x / scale, y / scale);
-        match track_level(&prev[li], &next[li], lx, ly, gx, gy, cfg, scratch) {
+        let (prev, next) = (prev_pyr.plane(li), next_pyr.plane(li));
+        match track_level(prev, next, lx, ly, track.gx, track.gy, cfg, scratch) {
             Some((dx, dy, res, iters)) => {
-                residual = res;
+                track.residual = res;
                 iters_total += iters;
                 if li > 0 {
-                    gx = dx * 2.0;
-                    gy = dy * 2.0;
+                    track.gx = dx * 2.0;
+                    track.gy = dy * 2.0;
                 } else {
-                    gx = dx;
-                    gy = dy;
+                    track.gx = dx;
+                    track.gy = dy;
                 }
             }
             None => {
-                degenerate = true;
+                track.degenerate = true;
                 break;
             }
         }
     }
     scratch.iterations.push(iters_total);
-    if degenerate {
-        return TrackOutcome::Degenerate;
-    }
-    let nx = x + gx;
-    let ny = y + gy;
-    let base = &next[0];
-    let m = cfg.window_radius as f32;
-    if nx < m || ny < m || nx >= base.width() as f32 - m || ny >= base.height() as f32 - m {
-        return TrackOutcome::OutOfBounds;
-    }
-    if residual > cfg.max_residual {
-        return TrackOutcome::Lost;
-    }
-    TrackOutcome::Tracked {
-        x: nx,
-        y: ny,
-        residual,
-    }
+    track.outcome(x, y, next_pyr.plane(0), cfg)
 }
 
 #[cfg(test)]
@@ -1189,6 +1287,60 @@ mod tests {
         assert!(ref_iters.iter().all(|&i| i == 0));
     }
 
+    /// A textured image with a flat (degenerate) patch, shifted by
+    /// `(sx, sy)`, and 43 tracks over it: healthy, degenerate, on and
+    /// past the border. Five batches and a tail, so the solve restages
+    /// mid-level and lanes hand over between tracks of different
+    /// iteration counts.
+    fn refill_fixture(sx: f32, sy: f32) -> (GrayImage, Vec<(f32, f32)>) {
+        let img = GrayImage::from_fn(96, 96, |x, y| {
+            let (u, v) = (x as f32 - sx, y as f32 - sy);
+            if (30.0..60.0).contains(&u) && (30.0..60.0).contains(&v) {
+                120
+            } else {
+                (128.0 + 60.0 * ((u * 0.37).sin() * (v * 0.23).cos())).clamp(0.0, 255.0) as u8
+            }
+        });
+        let pts = (0..43)
+            .map(|i| {
+                let fi = i as f32;
+                (
+                    -3.0 + (fi * 0.377).fract() * 102.0,
+                    -3.0 + (fi * 0.613).fract() * 102.0,
+                )
+            })
+            .collect();
+        (img, pts)
+    }
+
+    #[test]
+    fn refilled_lanes_match_scalar_across_budgets() {
+        let (prev, pts) = refill_fixture(0.0, 0.0);
+        let (next, _) = refill_fixture(1.6, -0.9);
+        let cfg = KltConfig::default();
+        let prev_pyr = Pyramid::build(prev, cfg.levels);
+        let next_pyr = Pyramid::build(next, cfg.levels);
+        let mut scratch = KltScratch::default();
+        let mut out = Vec::new();
+        for max_iterations in [0, 1, 2, 15] {
+            let cfg = KltConfig {
+                max_iterations,
+                ..cfg
+            };
+            let (reference, ref_iters) = scalar_reference(&prev_pyr, &next_pyr, &pts, &cfg);
+            for kind in [TrackOutcome::Degenerate, TrackOutcome::OutOfBounds] {
+                assert!(reference.contains(&kind), "fixture lacks {kind:?}");
+            }
+            track_pyramidal_into(&prev_pyr, &next_pyr, &pts, &cfg, &mut scratch, &mut out);
+            assert_bit_identical(&out, &reference);
+            assert_eq!(
+                scratch.iteration_counts(),
+                &ref_iters[..],
+                "budget {max_iterations}"
+            );
+        }
+    }
+
     /// The AVX2 kernels, when the host has them (`None` skips the
     /// portable-vs-AVX2 comparisons below).
     #[cfg(target_arch = "x86_64")]
@@ -1314,6 +1466,24 @@ mod tests {
         for n in 1..=pts.len() {
             let what = format!("{n} tracks");
             assert_kernels_agree(&prev_pyr, &next_pyr, &pts[..n], &cfg, simd, &what);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_klt_matches_portable_when_lanes_refill() {
+        let Some(simd) = avx2() else { return };
+        let (prev, pts) = refill_fixture(0.0, 0.0);
+        let (next, _) = refill_fixture(1.6, -0.9);
+        let prev_pyr = Pyramid::build(prev, 3);
+        let next_pyr = Pyramid::build(next, 3);
+        for max_iterations in [0, 1, 2, 15] {
+            let cfg = KltConfig {
+                max_iterations,
+                ..KltConfig::default()
+            };
+            let what = format!("max_iterations {max_iterations}");
+            assert_kernels_agree(&prev_pyr, &next_pyr, &pts, &cfg, simd, &what);
         }
     }
 

@@ -1,17 +1,19 @@
 //! AVX2 kernels of the batched KLT solve.
 //!
 //! One `__m256` holds the eight lanes of a [`TrackBatch`]: lane `l` of
-//! every vector is track `l`, so each vector operation advances all
-//! eight tracks by the same step of the scalar solve. Every lane runs
-//! exactly the scalar operation sequence: `mul` and `add` stay separate
-//! (no FMA), sums keep the scalar left-to-right order, and the truncating
-//! cast appears only where the interior proof gives `x ≥ 0`. Each lane is
-//! therefore bit-identical to [`dc_window`](super::dc_window) and to the
-//! per-lane LSS rows. A lane these kernels cannot prove interior, or
-//! whose `±1` exactness proof fails, runs the scalar code instead.
+//! every vector is the track in lane `l`, so each vector operation
+//! advances all eight tracks by the same step of the scalar solve. Every
+//! lane runs exactly the scalar operation sequence: `mul` and `add` stay
+//! separate (no FMA), sums keep the scalar left-to-right order, and the
+//! truncating cast appears only where the interior proof gives `x ≥ 0`.
+//! Each lane is therefore bit-identical to [`dc_window`](super::dc_window)
+//! and to the per-lane LSS rows. A lane these kernels cannot prove
+//! interior, or whose `±1` exactness proof fails, runs the scalar code
+//! instead.
 //!
-//! Masked lanes (converged, degenerate, padding) still occupy their slot
-//! of every vector: the gathers skip them, the arithmetic does not.
+//! A free lane still occupies its slot of every vector: the gathers skip
+//! it, the arithmetic does not. The solve refills a lane as soon as its
+//! track leaves, so free LSS lanes occur only in a level's tail.
 
 use super::{lss_lane_row, TrackBatch, KLT_LANES};
 use eudoxus_image::isa::Avx2;
@@ -175,7 +177,7 @@ fn lss_iteration_avx2(
     w: usize,
     r: i64,
 ) -> ([f32; KLT_LANES], [f32; KLT_LANES], [f32; KLT_LANES]) {
-    let active = lane_mask(&b.iterating);
+    let active = lane_mask(&b.live);
     let active_bits = _mm256_movemask_ps(active);
     let gx = load(&b.gx, 0);
     let gy = load(&b.gy, 0);

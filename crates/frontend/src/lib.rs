@@ -48,9 +48,12 @@
 //!
 //! The dominant frontend kernel after the scratch work is the KLT solve
 //! (the paper's DC + LSS "temporal" tasks). [`track_pyramidal_into`]
-//! therefore solves tracks in lane-parallel batches of [`KLT_LANES`]
-//! (= 8): per-track positions, 2×2 normal matrices, residuals and
-//! convergence masks live as SoA arrays in [`KltScratch`].
+//! therefore streams each pyramid level's tracks through
+//! [`KLT_LANES`] (= 8) lane-parallel slots, as the paper's accelerator
+//! streams tracks through fixed hardware: a lane whose track converges
+//! takes the next waiting track before the next iteration. Per-lane
+//! positions, 2×2 normal matrices and window buffers live as SoA arrays
+//! in [`KltScratch`].
 //!
 //! The bilinear-sampling loops — KLT's DC and LSS phases and ORB's 256
 //! rotated-BRIEF tests ([`compute_orb`]) — have two implementations,
@@ -66,7 +69,8 @@
 //! the scalar operation sequence (separate `mul` and `add`, no FMA; the
 //! scalar sum order; truncation only where `x ≥ 0` is proven), and any
 //! lane or BRIEF group the kernels cannot prove interior runs the scalar
-//! code. Converged and degenerate KLT lanes are masked, not compacted.
+//! code. A KLT lane freed by convergence is refilled, not left masked, so
+//! lanes idle only in each level's tail.
 //!
 //! The scalar solve survives as [`track_one`]/[`track_one_with`] and as
 //! the per-row border fallback inside the batch; everything is

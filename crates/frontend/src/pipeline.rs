@@ -39,7 +39,9 @@ pub struct Tuning {
     pub blur_sigma: f32,
     /// Max distance (pixels) to snap an LK-tracked point to a detection.
     pub snap_radius: f32,
-    /// Cap on simultaneously live tracks.
+    /// Cap on simultaneously live tracks: new tracks spawn only up to
+    /// it, and when a [`FrameDirective`] lowers it below the live count,
+    /// only the oldest `max_tracks` tracks are tracked into the frame.
     pub max_tracks: usize,
 }
 
@@ -63,7 +65,9 @@ impl Default for Tuning {
 pub struct FrameDirective {
     /// Cap on FAST detections per image (clamps `FastConfig::max_keypoints`).
     pub max_keypoints: usize,
-    /// Cap on simultaneously live tracks (clamps `Tuning::max_tracks`).
+    /// Cap on simultaneously live tracks (clamps `Tuning::max_tracks`):
+    /// tracks beyond it, newest first, are dropped before temporal
+    /// matching and counted in [`FrameStats::tracks_lost`].
     pub max_tracks: usize,
     /// Cap on KLT pyramid levels (clamps `KltConfig::levels`, min 1).
     pub max_pyramid_levels: usize,
@@ -428,6 +432,8 @@ impl Frontend {
         // DC + LSS: temporal correspondences for live tracks. The current
         // left pyramid is built once into the spare slot; the previous
         // frame's pyramid (cached, not rebuilt) provides the template.
+        // A directive can lower the track cap below the live count: only
+        // the oldest `max_tracks` tracks are tracked, the rest are lost.
         let t = Instant::now();
         let s = span_open();
         let mut cur_pyr = std::mem::take(&mut self.scratch.spare_pyr);
@@ -438,7 +444,9 @@ impl Frontend {
         if let Some(prev_pyr) = &self.prev_pyr {
             if !self.tracks.is_empty() {
                 self.scratch.points.clear();
-                self.scratch.points.extend(self.tracks.iter().map(|tr| (tr.x, tr.y)));
+                self.scratch
+                    .points
+                    .extend(self.tracks.iter().take(max_tracks).map(|tr| (tr.x, tr.y)));
                 track_pyramidal_into(
                     prev_pyr,
                     &cur_pyr,
@@ -459,9 +467,9 @@ impl Frontend {
         self.scratch.new_tracks.clear();
         let mut observations: Vec<Observation> = Vec::new();
         for (ti, track) in self.tracks.iter().enumerate() {
-            // `tracked` is empty (not length-matched) when temporal
-            // matching did not run; every track then counts as lost,
-            // matching the pre-scratch behavior.
+            // `tracked` is empty when temporal matching did not run and
+            // shorter than `tracks` when the cap left tracks out; every
+            // track without an outcome counts as lost.
             let Some((tx, ty)) = self.scratch.tracked.get(ti).and_then(|o| o.position()) else {
                 stats.tracks_lost += 1;
                 continue;

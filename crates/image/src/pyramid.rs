@@ -1,9 +1,15 @@
 //! Image pyramids for coarse-to-fine Lucas–Kanade tracking.
 
-use crate::gray::GrayImage;
+use crate::gray::{FloatImage, GrayImage};
 
 /// A multi-scale pyramid; level 0 is the full-resolution image and each
 /// subsequent level halves both dimensions.
+///
+/// Each level is kept twice: as the `u8` image and as an `f32` plane
+/// ([`plane`](Self::plane)) converted once when the level is built. The
+/// KLT solve samples the planes, so a pyramid that serves as the next
+/// frame's template is never converted again. Every `u8` is exact in
+/// `f32`, so sampling a plane is bit-identical to sampling its level.
 ///
 /// # Example
 ///
@@ -17,6 +23,8 @@ use crate::gray::GrayImage;
 #[derive(Debug, Clone, Default)]
 pub struct Pyramid {
     levels: Vec<GrayImage>,
+    /// `levels[i]` converted to `f32`, one plane per level.
+    planes: Vec<FloatImage>,
 }
 
 impl Pyramid {
@@ -36,13 +44,14 @@ impl Pyramid {
             }
             levels.push(prev.downsample_2x());
         }
-        Pyramid { levels }
+        let planes = levels.iter().map(FloatImage::from_gray).collect();
+        Pyramid { levels, planes }
     }
 
     /// A pyramid with no levels — the initial state of a reusable slot
     /// that [`rebuild_from`](Self::rebuild_from) fills each frame.
     pub fn empty() -> Self {
-        Pyramid { levels: Vec::new() }
+        Pyramid::default()
     }
 
     /// True when the pyramid holds no levels yet.
@@ -54,7 +63,8 @@ impl Pyramid {
     /// buffer whose capacity still fits (zero heap allocations in the
     /// steady state of same-sized frames). The result is bit-identical to
     /// `Pyramid::build(base.clone(), max_levels)` — same level count, same
-    /// pixels — without the base clone or the per-level allocations.
+    /// pixels, same planes — without the base clone or the per-level
+    /// allocations.
     ///
     /// # Panics
     ///
@@ -79,6 +89,10 @@ impl Pyramid {
             built += 1;
         }
         self.levels.truncate(built);
+        self.planes.resize_with(built, FloatImage::default);
+        for (plane, level) in self.planes.iter_mut().zip(&self.levels) {
+            plane.copy_from_gray(level);
+        }
     }
 
     /// Number of levels actually built.
@@ -93,6 +107,16 @@ impl Pyramid {
     /// Panics if `i >= levels()`.
     pub fn level(&self, i: usize) -> &GrayImage {
         &self.levels[i]
+    }
+
+    /// Borrow level `i` as an `f32` plane (the same pixels, converted
+    /// when the level was built).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= levels()`.
+    pub fn plane(&self, i: usize) -> &FloatImage {
+        &self.planes[i]
     }
 
     /// Scale factor of level `i` relative to level 0 (`2^i`).
@@ -146,6 +170,8 @@ mod tests {
             assert_eq!(reused.levels(), fresh.levels());
             for i in 0..fresh.levels() {
                 assert_eq!(reused.level(i), fresh.level(i), "level {i} differs");
+                assert_eq!(reused.plane(i), fresh.plane(i), "plane {i} differs");
+                assert_eq!(fresh.plane(i), &FloatImage::from_gray(fresh.level(i)));
             }
         }
     }
@@ -157,6 +183,7 @@ mod tests {
         assert_eq!(pyr.levels(), 4);
         pyr.rebuild_from(&GrayImage::new(32, 32), 4);
         assert_eq!(pyr.levels(), 3);
+        assert_eq!(pyr.plane(2).width(), 8);
     }
 
     #[test]
