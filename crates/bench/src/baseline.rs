@@ -16,8 +16,8 @@
 
 use eudoxus_frontend::fast::CIRCLE;
 use eudoxus_frontend::{
-    match_stereo, FastConfig, Feature, FrameStats, FrontendConfig, FrontendFrame, FrontendTiming,
-    KeyPoint, KltConfig, Observation, OrbConfig, OrbDescriptor, TrackOutcome,
+    FastConfig, Feature, FrameStats, FrontendConfig, FrontendFrame, FrontendTiming, KeyPoint,
+    KltConfig, Observation, OrbConfig, OrbDescriptor, StereoConfig, StereoMatch, TrackOutcome,
 };
 use eudoxus_image::{FloatImage, GrayImage, Pyramid};
 use std::sync::OnceLock;
@@ -440,6 +440,114 @@ pub fn track_pyramidal_baseline(
         .collect()
 }
 
+/// Sum of absolute differences between blocks centered at `(lx, ly)` in the
+/// left image and `(rx, ly)` in the right image.
+fn block_sad_baseline(left: &GrayImage, right: &GrayImage, lx: f32, ly: f32, rx: f32, radius: i64) -> f32 {
+    let mut sad = 0.0f32;
+    for dy in -radius..=radius {
+        for dx in -radius..=radius {
+            let lv = left.sample_bilinear(lx + dx as f32, ly + dy as f32);
+            let rv = right.sample_bilinear(rx + dx as f32, ly + dy as f32);
+            sad += (lv - rv).abs();
+        }
+    }
+    sad
+}
+
+/// Sub-pixel disparity refinement by SAD parabola fit at `d−1, d, d+1`.
+fn refine_disparity_baseline(
+    left: &GrayImage,
+    right: &GrayImage,
+    lx: f32,
+    ly: f32,
+    d0: f32,
+    cfg: &StereoConfig,
+) -> f32 {
+    let r = cfg.block_radius;
+    let s_m = block_sad_baseline(left, right, lx, ly, lx - d0 + 1.0, r);
+    let s_0 = block_sad_baseline(left, right, lx, ly, lx - d0, r);
+    let s_p = block_sad_baseline(left, right, lx, ly, lx - d0 - 1.0, r);
+    // Parabola vertex of the three SAD samples; offset bounded to ±0.5.
+    let denom = s_m - 2.0 * s_0 + s_p;
+    if denom.abs() < 1e-6 {
+        return d0;
+    }
+    let offset = 0.5 * (s_p - s_m) / denom;
+    // Note the sign convention: larger disparity = right patch farther left.
+    (d0 - offset.clamp(-0.5, 0.5)).max(cfg.min_disparity)
+}
+
+/// Seed stereo matcher: MO, then DR on bilinear SADs for every match.
+/// Matches left features against right features (MO), then refines the
+/// accepted disparities (DR). Returns matches sorted by left index; each
+/// right feature is used at most once (greedy best-distance assignment).
+pub fn match_stereo_baseline(
+    left_features: &[Feature],
+    right_features: &[Feature],
+    left_img: &GrayImage,
+    right_img: &GrayImage,
+    cfg: &StereoConfig,
+) -> Vec<StereoMatch> {
+    // Sort right features by row for banded lookup.
+    let mut right_order: Vec<usize> = (0..right_features.len()).collect();
+    right_order.sort_by(|&a, &b| right_features[a].keypoint.y.total_cmp(&right_features[b].keypoint.y));
+    let rows: Vec<f32> = right_order
+        .iter()
+        .map(|&i| right_features[i].keypoint.y)
+        .collect();
+
+    let mut proposals: Vec<StereoMatch> = Vec::new();
+    for (li, lf) in left_features.iter().enumerate() {
+        let y = lf.keypoint.y;
+        let lo = rows.partition_point(|&r| r < y - cfg.epipolar_tolerance);
+        let hi = rows.partition_point(|&r| r <= y + cfg.epipolar_tolerance);
+        let mut best: Option<(usize, u32)> = None;
+        let mut second = u32::MAX;
+        for &ri in &right_order[lo..hi] {
+            let rf = &right_features[ri];
+            let disparity = lf.keypoint.x - rf.keypoint.x;
+            if disparity < cfg.min_disparity || disparity > cfg.max_disparity {
+                continue;
+            }
+            let d = lf.descriptor.hamming(&rf.descriptor);
+            match best {
+                None => best = Some((ri, d)),
+                Some((_, bd)) if d < bd => {
+                    second = bd;
+                    best = Some((ri, d));
+                }
+                Some(_) => second = second.min(d),
+            }
+        }
+        if let Some((ri, d)) = best {
+            let pass_ratio = second == u32::MAX || (d as f32) < cfg.ratio * second as f32;
+            if d <= cfg.max_hamming && pass_ratio {
+                let d0 = lf.keypoint.x - right_features[ri].keypoint.x;
+                let refined = refine_disparity_baseline(left_img, right_img, lf.keypoint.x, lf.keypoint.y, d0, cfg);
+                proposals.push(StereoMatch {
+                    left_index: li,
+                    right_index: ri,
+                    disparity: refined,
+                    distance: d,
+                });
+            }
+        }
+    }
+
+    // Enforce one-to-one on right features: keep the smallest distance.
+    proposals.sort_by_key(|m| m.distance);
+    let mut right_used = vec![false; right_features.len()];
+    let mut accepted: Vec<StereoMatch> = Vec::new();
+    for m in proposals {
+        if !right_used[m.right_index] {
+            right_used[m.right_index] = true;
+            accepted.push(m);
+        }
+    }
+    accepted.sort_by_key(|m| m.left_index);
+    accepted
+}
+
 /// A live track (internal state of [`BaselineFrontend`]).
 #[derive(Debug, Clone, Copy)]
 struct Track {
@@ -519,7 +627,7 @@ impl BaselineFrontend {
         timing.description = t.elapsed();
 
         let t = Instant::now();
-        let stereo = match_stereo(&feats_left, &feats_right, left, right, &cfg.stereo);
+        let stereo = match_stereo_baseline(&feats_left, &feats_right, left, right, &cfg.stereo);
         timing.stereo = t.elapsed();
         stats.stereo_matches = stereo.len();
         let mut disparity_of: Vec<Option<f32>> = vec![None; feats_left.len()];

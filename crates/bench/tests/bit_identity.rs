@@ -10,12 +10,13 @@
 
 use eudoxus_bench::assert_outcomes_bit_identical;
 use eudoxus_bench::baseline::{
-    compute_orb_baseline, detect_fast_baseline, gaussian_blur_baseline, track_pyramidal_baseline,
-    BaselineFrontend,
+    compute_orb_baseline, detect_fast_baseline, gaussian_blur_baseline, match_stereo_baseline,
+    track_pyramidal_baseline, BaselineFrontend,
 };
 use eudoxus_frontend::{
-    compute_orb, detect_fast_into, track_pyramidal_into, FastConfig, FastScratch, Frontend,
-    FrontendConfig, KeyPoint, KltConfig, KltScratch, OrbConfig, KLT_LANES,
+    compute_orb, detect_fast_into, match_stereo, track_pyramidal_into, FastConfig, FastScratch,
+    Feature, Frontend, FrontendConfig, KeyPoint, KltConfig, KltScratch, OrbConfig, OrbDescriptor,
+    StereoMatch, TrackOutcome, KLT_LANES,
 };
 use eudoxus_image::{gaussian_blur_into, FilterScratch, GrayImage, Pyramid};
 use eudoxus_sim::{Dataset, Platform, ScenarioBuilder, ScenarioKind};
@@ -253,6 +254,173 @@ fn klt_kernel_matches_seed_bitwise_across_all_scenario_kinds() {
             track_pyramidal_into(&prev_pyr, &next_pyr, pts, &klt_cfg, &mut scratch, &mut out);
             assert_eq!(scratch.iteration_counts().len(), out.len());
             assert_outcomes_bit_identical(&out, &seed, &format!("{kind:?} n={count}"));
+        }
+    }
+}
+
+#[test]
+fn zero_budget_stages_every_batch_like_the_seed() {
+    // With `max_iterations: 0` no track ever takes an LSS lane, yet the
+    // solve must still stage every track of every level: the DC phase is
+    // what flags a degenerate track. Four batches and a tail, with tracks
+    // on a flat patch (degenerate at the coarsest level) in lanes past
+    // the first eight; a level that stopped staging after its first
+    // batch would report those tracks lost instead.
+    let data = dataset(ScenarioKind::Mixed, 2);
+    let flat = |img: &GrayImage| {
+        let mut img = img.clone();
+        for y in 140..340 {
+            for x in 200..440 {
+                img.put(x, y, 120);
+            }
+        }
+        img
+    };
+    let prev = flat(&data.frames[0].left);
+    let next = flat(&data.frames[1].left);
+    let corners = detect_fast_baseline(&prev, &FastConfig::default());
+    let count = 4 * KLT_LANES + 3;
+    assert!(corners.len() >= count, "too few corners");
+    let points: Vec<(f32, f32)> = (0..count)
+        .map(|i| {
+            let fi = i as f32;
+            if i >= KLT_LANES && i % 3 == 0 {
+                (300.0 + 1.5 * fi, 220.0 + 0.75 * fi)
+            } else {
+                (corners[i].x, corners[i].y)
+            }
+        })
+        .collect();
+    let cfg = KltConfig {
+        max_iterations: 0,
+        ..KltConfig::default()
+    };
+    let seed = track_pyramidal_baseline(&prev, &next, &points, &cfg);
+    assert!(
+        seed[KLT_LANES..].contains(&TrackOutcome::Degenerate),
+        "fixture must put degenerate tracks past the first batch: {seed:?}"
+    );
+
+    let (mut prev_pyr, mut next_pyr) = (Pyramid::empty(), Pyramid::empty());
+    prev_pyr.rebuild_from(&prev, cfg.levels);
+    next_pyr.rebuild_from(&next, cfg.levels);
+    let mut scratch = KltScratch::default();
+    let mut out = Vec::new();
+    track_pyramidal_into(&prev_pyr, &next_pyr, &points, &cfg, &mut scratch, &mut out);
+    assert_outcomes_bit_identical(&out, &seed, "zero budget");
+    // The seed solve runs no LSS iteration on a zero budget.
+    assert_eq!(scratch.iteration_counts(), &vec![0; count][..]);
+}
+
+/// The seed FAST corners of `img`, described by the seed ORB on its
+/// blurred copy, as `BaselineFrontend` computes its features.
+fn seed_features(img: &GrayImage, cfg: &FrontendConfig) -> Vec<Feature> {
+    let blurred = gaussian_blur_baseline(img, cfg.tuning.blur_sigma);
+    detect_fast_baseline(img, &cfg.fast)
+        .iter()
+        .filter_map(|kp| {
+            compute_orb_baseline(&blurred, kp, &cfg.orb).map(|descriptor| Feature {
+                keypoint: *kp,
+                descriptor,
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn stereo_kernel_matches_seed_bitwise() {
+    // The seed matcher (bilinear SADs for every refinement) against the
+    // live one on every scenario kind: the seed FAST + ORB features of
+    // both eyes (integer key points: the integer SADs), the left ones
+    // shifted by 0.25 px (sub-pixel: the bilinear SADs), and matched
+    // pairs within `block_radius` of every border and corner, whose
+    // blocks are clamped. The border pairs also run on a noisy copy of
+    // the left eye and that copy moved 3 px left: rendered frames can be
+    // smooth at the border, where a wrong clamp would read equal pixels,
+    // and the true disparity keeps the parabola's offset off its ±0.5
+    // clamp, so any change to a SAD shows. Every `StereoMatch` field must
+    // agree, the disparity bit for bit.
+    let cfg = FrontendConfig::default();
+    let fields = |m: &StereoMatch| {
+        (
+            m.left_index,
+            m.right_index,
+            m.disparity.to_bits(),
+            m.distance,
+        )
+    };
+    for kind in KINDS {
+        let data = dataset(kind, 1);
+        let frame = &data.frames[0];
+        let (left_img, right_img) = (frame.left.as_ref(), frame.right.as_ref());
+        let left = seed_features(left_img, &cfg);
+        let right = seed_features(right_img, &cfg);
+        let shifted: Vec<Feature> = left
+            .iter()
+            .map(|f| {
+                let mut f = *f;
+                f.keypoint.x += 0.25;
+                f
+            })
+            .collect();
+
+        // Each border pair shares a descriptor no other feature has, at
+        // disparity 3.
+        let (w, h) = (left_img.width() as f32, left_img.height() as f32);
+        let (mut border_left, mut border_right) = (Vec::new(), Vec::new());
+        for k in 0..=cfg.stereo.block_radius {
+            let k = k as f32;
+            for (x, y) in [
+                (k, h * 0.5),
+                (w - 1.0 - k, h * 0.3),
+                (w * 0.5, k),
+                (w * 0.3, h - 1.0 - k),
+                (k, k),
+                (w - 1.0 - k, h - 1.0 - k),
+            ] {
+                let descriptor = OrbDescriptor::from_words([border_left.len() as u64; 4]);
+                border_left.push(Feature {
+                    keypoint: KeyPoint::new(x, y, 0.0),
+                    descriptor,
+                });
+                border_right.push(Feature {
+                    keypoint: KeyPoint::new(x - 3.0, y, 0.0),
+                    descriptor,
+                });
+            }
+        }
+
+        let noisy = GrayImage::from_fn(left_img.width(), left_img.height(), |x, y| {
+            let hash = (x.wrapping_mul(7919) ^ y.wrapping_mul(104_729)).wrapping_mul(2_654_435_761);
+            left_img.get(x, y).wrapping_add((hash >> 26) as u8)
+        });
+        let moved = GrayImage::from_fn(noisy.width(), noisy.height(), |x, y| {
+            noisy.get((x + 3).min(noisy.width() - 1), y)
+        });
+
+        let eyes = (left_img, right_img);
+        for (what, l, r, (li, ri)) in [
+            ("seed features", &left, &right, eyes),
+            ("shifted 0.25 px", &shifted, &right, eyes),
+            ("border pairs", &border_left, &border_right, eyes),
+            (
+                "noisy border pairs",
+                &border_left,
+                &border_right,
+                (&noisy, &moved),
+            ),
+        ] {
+            let seed = match_stereo_baseline(l, r, li, ri, &cfg.stereo);
+            let live = match_stereo(l, r, li, ri, &cfg.stereo);
+            assert!(
+                seed.len() > 10,
+                "{kind:?} {what}: only {} matches",
+                seed.len()
+            );
+            assert_eq!(seed.len(), live.len(), "{kind:?} {what}: match count");
+            for (i, (a, b)) in seed.iter().zip(&live).enumerate() {
+                assert_eq!(fields(a), fields(b), "{kind:?} {what}: match {i}");
+            }
         }
     }
 }

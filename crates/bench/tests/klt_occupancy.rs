@@ -1,25 +1,36 @@
-//! Lane occupancy of the batched KLT solve on rendered drone frames.
+//! Lane occupancy and vector coverage of the batched KLT solve on
+//! rendered drone frames.
 //!
 //! The bit-identity gates compare outcomes and per-track iteration
-//! counts, which a solve that stopped refilling freed lanes would still
-//! reproduce: it would only run slower. This test pins the refill down:
-//! on the frontend's own track sets, the solve's LSS lane slots must be
-//! at least 90 % busy, where occupancy is the sum of the per-track
-//! iteration counts over `KLT_LANES ×` the batch iterations run. Fixed
-//! batches of eight, whose converged lanes idle until the slowest lane of
-//! the batch finishes, measured 40 % over 99 frame pairs of these scenes;
-//! lane refill measured 97 %.
+//! counts, which a solve that stopped refilling freed lanes, or that sent
+//! lanes back to its scalar code, would still reproduce: it would only
+//! run slower. These tests pin both down on the frontend's own track
+//! sets.
+//!
+//! * Occupancy: the solve's LSS lane slots must be at least 90 % busy,
+//!   where occupancy is the sum of the per-track iteration counts over
+//!   `KLT_LANES ×` the batch iterations run. Fixed batches of eight,
+//!   whose converged lanes idle until the slowest lane of the batch
+//!   finishes, measured 40 % over 99 frame pairs of these scenes; lane
+//!   refill measured 97 %.
+//! * Coverage: on AVX2 hosts no lane may run the scalar DC and no lane
+//!   row the scalar LSS row, since every coordinate here is finite.
+//!   Kernels that sent border and inexact-tap lanes to scalar code ran
+//!   692 of these frames' 8367 DC lanes (8.3 %) and 15 854 of their
+//!   610 455 LSS lane rows (2.6 %) there.
 
 use eudoxus_frontend::{track_pyramidal_into, Frontend, FrontendConfig, KltScratch, KLT_LANES};
+use eudoxus_image::isa::Isa;
 use eudoxus_image::Pyramid;
 use eudoxus_sim::{Platform, ScenarioBuilder, ScenarioKind};
 
-#[test]
-fn klt_lane_occupancy_on_drone_frames() {
+/// Tracks the frontend's live track set of every drone frame pair of
+/// three scenes (outdoor, indoor, mixed; seed 7) into the next frame,
+/// calling `visit` with the scratch after each call.
+fn each_drone_frame_pair(mut visit: impl FnMut(&KltScratch)) {
     let cfg = FrontendConfig::default();
     let mut scratch = KltScratch::default();
     let mut outcomes = Vec::new();
-    let (mut lane_iterations, mut vector_iterations) = (0u64, 0u64);
     for kind in [
         ScenarioKind::OutdoorUnknown,
         ScenarioKind::IndoorUnknown,
@@ -44,14 +55,22 @@ fn klt_lane_occupancy_on_drone_frames() {
             let prev = Pyramid::build((*pair[0].left).clone(), cfg.klt.levels);
             let next = Pyramid::build((*pair[1].left).clone(), cfg.klt.levels);
             track_pyramidal_into(&prev, &next, &points, &cfg.klt, &mut scratch, &mut outcomes);
-            lane_iterations += scratch
-                .iteration_counts()
-                .iter()
-                .map(|&n| u64::from(n))
-                .sum::<u64>();
-            vector_iterations += scratch.lss_vector_iterations();
+            visit(&scratch);
         }
     }
+}
+
+#[test]
+fn klt_lane_occupancy_on_drone_frames() {
+    let (mut lane_iterations, mut vector_iterations) = (0u64, 0u64);
+    each_drone_frame_pair(|scratch| {
+        lane_iterations += scratch
+            .iteration_counts()
+            .iter()
+            .map(|&n| u64::from(n))
+            .sum::<u64>();
+        vector_iterations += scratch.lss_vector_iterations();
+    });
     let occupancy = lane_iterations as f64 / (KLT_LANES as u64 * vector_iterations) as f64;
     eprintln!(
         "LSS lane occupancy {:.1} % ({lane_iterations} lane iterations in {vector_iterations} batch iterations)",
@@ -61,5 +80,23 @@ fn klt_lane_occupancy_on_drone_frames() {
         occupancy >= 0.90,
         "LSS lane occupancy {:.1} % is below 90 %: freed lanes are not refilled",
         100.0 * occupancy
+    );
+}
+
+#[test]
+fn klt_vector_coverage_on_drone_frames() {
+    if Isa::detect() == Isa::Portable {
+        eprintln!("no AVX2 kernels on this host: every lane runs the portable batch, coverage not checked");
+        return;
+    }
+    let (mut dc_lanes, mut lss_rows) = (0u64, 0u64);
+    each_drone_frame_pair(|scratch| {
+        dc_lanes += scratch.scalar_dc_lanes();
+        lss_rows += scratch.scalar_lss_rows();
+    });
+    assert_eq!(
+        (dc_lanes, lss_rows),
+        (0, 0),
+        "lanes with finite coordinates fell back to the scalar DC or LSS rows"
     );
 }

@@ -33,12 +33,15 @@
 //! vector holds the eight lanes: masked gathers sample every lane's
 //! window at once. Every lane runs the scalar operation sequence — `mul`
 //! and `add` stay separate (no FMA), sums keep the scalar order, and the
-//! truncating cast appears only where the interior proof gives `x ≥ 0`.
-//! Elsewhere the portable batch runs the lanes one after another: a
-//! row-hoisted bilinear gather (`eudoxus_image::RowGather`) and a
-//! fixed-width unrolled inner loop give the core eight independent `f32`
-//! accumulator chains where the scalar solve serializes on one. Both
-//! kernel sets run under the same refill loop.
+//! truncating cast appears only where the interior proof gives `x ≥ 0`
+//! or after a clamp to the plane. Lanes whose window reaches past the
+//! plane, and lanes whose `±1` gradient taps the grid cannot supply, stay
+//! on the vector kernels: a clamped sampler takes the taps the scalar
+//! clamp takes. Elsewhere the portable batch runs the lanes one after
+//! another: a row-hoisted bilinear gather (`eudoxus_image::RowGather`)
+//! and a fixed-width unrolled inner loop give the core eight independent
+//! `f32` accumulator chains where the scalar solve serializes on one.
+//! Both kernel sets run under the same refill loop.
 //!
 //! **Masking contract**: a lane is live while it holds a track. A free
 //! lane is skipped by the portable batch's gathers and updates (so the
@@ -51,12 +54,18 @@
 //! track has left the lanes.
 //!
 //! **Scalar fallback**: [`track_one`]/[`track_one_with`] run the original
-//! scalar solve (one track, no lanes). Inside the batch, a lane whose
-//! window row is not provably interior runs that row on the per-lane
-//! clamped sampler, and on AVX2 a lane whose DC grid is not interior, or
-//! whose `±1` exactness proof fails, runs the scalar DC (bit-identical by
-//! construction). The seed solve itself is preserved verbatim in
-//! `eudoxus_bench::baseline` as the golden reference.
+//! scalar solve (one track, no lanes). The portable batch runs every DC
+//! on `dc_window` and, for a window row where some lane's run is not
+//! provably interior, every lane's row on the per-lane clamped sampler
+//! (`lss_lane_row`). On AVX2 only a lane with a non-finite coordinate
+//! (NaN or infinity) runs `dc_window` or `lss_lane_row`, so such
+//! payloads never meet a vector instruction; a plane one pixel wide or
+//! high, which no pyramid the frontend builds has, runs the portable
+//! batch.
+//! [`KltScratch::scalar_dc_lanes`] and [`KltScratch::scalar_lss_rows`]
+//! count what the last call sent there. The seed solve itself is
+//! preserved verbatim in `eudoxus_bench::baseline` as the golden
+//! reference.
 
 use eudoxus_image::isa::Isa;
 use eudoxus_image::{FloatImage, GrayImage, Pyramid, RowGather, RowSampler};
@@ -173,6 +182,11 @@ struct TrackBatch {
     /// kernel (the batched form of `KltScratch::samples`).
     #[cfg(target_arch = "x86_64")]
     grid: Vec<f32>,
+    /// Lane masks of the AVX2 DC kernel, two per window column: the lanes
+    /// whose right and whose left `±1` tap fails the exactness proof (the
+    /// batched form of `KltScratch::exact_x`).
+    #[cfg(target_arch = "x86_64")]
+    inexact: Vec<f32>,
 }
 
 impl TrackBatch {
@@ -264,6 +278,12 @@ pub struct KltScratch {
     /// LSS batch iterations of the most recent call (see
     /// [`lss_vector_iterations`](Self::lss_vector_iterations)).
     vector_iterations: u64,
+    /// Lanes of the most recent call whose DC ran on `dc_window` (see
+    /// [`scalar_dc_lanes`](Self::scalar_dc_lanes)).
+    scalar_dc_lanes: u64,
+    /// Lane rows of the most recent call run by `lss_lane_row` (see
+    /// [`scalar_lss_rows`](Self::scalar_lss_rows)).
+    scalar_lss_rows: u64,
 }
 
 impl KltScratch {
@@ -285,6 +305,28 @@ impl KltScratch {
     /// the share of lane slots that did useful work.
     pub fn lss_vector_iterations(&self) -> u64 {
         self.vector_iterations
+    }
+
+    /// Staged lanes whose DC phase the most recent
+    /// [`track_pyramidal_into`] call ran on the scalar `dc_window`
+    /// (zero after [`track_one_with`]). On the portable path, and on a
+    /// plane one pixel wide or high, that is every staged lane; on AVX2
+    /// hosts otherwise only the lanes with a non-finite position, so on
+    /// finite inputs any other count means lanes slipped off the vector
+    /// kernel, which changes speed but no output bit.
+    pub fn scalar_dc_lanes(&self) -> u64 {
+        self.scalar_dc_lanes
+    }
+
+    /// Window rows of single lanes that the most recent
+    /// [`track_pyramidal_into`] call ran on the per-lane clamped row
+    /// (`lss_lane_row`) instead of a batched kernel (zero after
+    /// [`track_one_with`]). On the portable path, and on a plane one
+    /// pixel wide or high, that is every lane of each row some lane's run
+    /// leaves the interior; on AVX2 hosts otherwise only the rows of lanes
+    /// with a non-finite coordinate.
+    pub fn scalar_lss_rows(&self) -> u64 {
+        self.scalar_lss_rows
     }
 }
 
@@ -494,12 +536,14 @@ fn track_level(
 /// them) are skipped by the gather, so the batch's total sample count
 /// equals the scalar solve's. The fast path requires every live lane's
 /// sample run on the current window row to be interior; rows that fail
-/// fall back to [`lss_lane_row`] for every live lane.
+/// fall back to [`lss_lane_row`] for every live lane, each counted in
+/// `scalar_rows`.
 fn lss_batch_iteration(
     next: &FloatImage,
     b: &TrackBatch,
     w: usize,
     r: i64,
+    scalar_rows: &mut u64,
 ) -> ([f32; KLT_LANES], [f32; KLT_LANES], [f32; KLT_LANES]) {
     let mut b1 = [0.0f32; KLT_LANES];
     let mut b2 = [0.0f32; KLT_LANES];
@@ -596,6 +640,7 @@ fn lss_batch_iteration(
                 if active[l] {
                     (b1[l], b2[l], res[l]) =
                         lss_lane_row(next, b, l, row, ys[l], w, (b1[l], b2[l], res[l]));
+                    *scalar_rows += 1;
                 }
             }
         }
@@ -606,7 +651,8 @@ fn lss_batch_iteration(
 /// Window row `row` (at height `y`) of lane `l` on the per-lane clamped
 /// sampler, added to the lane's running sums `(b1, b2, res)`: the seed
 /// row structure verbatim (interior runs unchecked, borders clamped).
-/// The border fallback of both batched LSS kernels.
+/// The border fallback of the portable batch; the AVX2 kernel sends it
+/// only lanes with a non-finite coordinate.
 fn lss_lane_row(
     next: &FloatImage,
     b: &TrackBatch,
@@ -641,10 +687,10 @@ fn lss_lane_row(
 /// Runs the DC phase of the next [`KLT_LANES`] waiting tracks of a level
 /// into the staging batch: tracks from `*waiting` on that have not gone
 /// degenerate take the lanes in order, `isa` picks the DC kernel (the
-/// AVX2 kernel solves every lane it can prove, `dc_window` the rest), and
-/// a track that fails the determinant test retires here, flagged
-/// degenerate, without ever taking an LSS lane. Returns `false` when no
-/// track was left to stage.
+/// AVX2 kernel solves every lane with a finite position, `dc_window` the
+/// rest), and a track that fails the determinant test retires here,
+/// flagged degenerate, without ever taking an LSS lane. Returns `false`
+/// when no track was left to stage.
 fn stage_tracks(
     prev: &FloatImage,
     scale: f32,
@@ -659,6 +705,7 @@ fn stage_tracks(
         exact_x,
         stage,
         tracks,
+        scalar_dc_lanes,
         ..
     } = scratch;
     let r = cfg.window_radius;
@@ -692,6 +739,7 @@ fn stage_tracks(
         let (a11, a12, a22) = if solved & (1 << l) != 0 {
             (stage.a11[l], stage.a12[l], stage.a22[l])
         } else {
+            *scalar_dc_lanes += 1;
             dc_window(
                 prev,
                 stage.px[l],
@@ -817,6 +865,7 @@ fn solve_level(
             tracks,
             iterations,
             vector_iterations,
+            scalar_lss_rows,
             ..
         } = &mut *scratch;
         if !lanes.live.contains(&true) {
@@ -826,8 +875,8 @@ fn solve_level(
         // LSS phase: one Gauss–Newton iteration of every live lane.
         let (b1, b2, res) = match isa {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2(avx2) => avx2::lss_iteration(avx2, next, lanes, w, r),
-            Isa::Portable => lss_batch_iteration(next, lanes, w, r),
+            Isa::Avx2(avx2) => avx2::lss_iteration(avx2, next, lanes, w, r, scalar_lss_rows),
+            Isa::Portable => lss_batch_iteration(next, lanes, w, r, scalar_lss_rows),
         };
         *vector_iterations += 1;
         for l in 0..KLT_LANES {
@@ -915,6 +964,8 @@ fn track_pyramidal_with(
     scratch.iterations.clear();
     scratch.iterations.resize(points.len(), 0);
     scratch.vector_iterations = 0;
+    scratch.scalar_dc_lanes = 0;
+    scratch.scalar_lss_rows = 0;
     let levels = prev_pyr.levels().min(next_pyr.levels());
     for li in (0..levels).rev() {
         // Same scale law as `Pyramid::scale`.
@@ -971,6 +1022,8 @@ pub fn track_one_with(
 ) -> TrackOutcome {
     scratch.iterations.clear();
     scratch.vector_iterations = 0;
+    scratch.scalar_dc_lanes = 0;
+    scratch.scalar_lss_rows = 0;
     let levels = prev_pyr.levels().min(next_pyr.levels());
     let mut track = TrackState::START;
     let mut iters_total = 0u32;
@@ -1352,8 +1405,9 @@ mod tests {
         isa
     }
 
-    /// Tracks `pts` on the portable kernels and on `simd`, and asserts
-    /// bit-identical outcomes and equal per-track iteration counts.
+    /// Tracks `pts` on the portable kernels and on `simd`, asserts
+    /// bit-identical outcomes and equal per-track iteration counts, and
+    /// returns the `simd` run's scratch.
     #[cfg(target_arch = "x86_64")]
     fn assert_kernels_agree(
         prev_pyr: &Pyramid,
@@ -1362,15 +1416,15 @@ mod tests {
         cfg: &KltConfig,
         simd: Isa,
         what: &str,
-    ) {
+    ) -> KltScratch {
         let run = |isa| {
             let mut scratch = KltScratch::default();
             let mut out = Vec::new();
             track_pyramidal_with(prev_pyr, next_pyr, pts, cfg, &mut scratch, &mut out, isa);
-            (out, scratch.iterations)
+            (out, scratch)
         };
-        let (want, want_iters) = run(Isa::Portable);
-        let (got, got_iters) = run(simd);
+        let (want, want_scratch) = run(Isa::Portable);
+        let (got, got_scratch) = run(simd);
         assert_eq!(got.len(), want.len(), "{what}");
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             match (g, w) {
@@ -1396,7 +1450,11 @@ mod tests {
                 _ => assert_eq!(g, w, "{what}: point {i} {:?}", pts[i]),
             }
         }
-        assert_eq!(got_iters, want_iters, "{what}: iteration counts");
+        assert_eq!(
+            got_scratch.iterations, want_scratch.iterations,
+            "{what}: iteration counts"
+        );
+        got_scratch
     }
 
     /// Seventeen positions (two full batches and a lone lane) on a
@@ -1516,6 +1574,105 @@ mod tests {
             };
             let what = format!("max_iterations {max_iterations}");
             assert_kernels_agree(&pyr, &pyr, &pts, &cfg, simd, &what);
+        }
+    }
+
+    /// Whether the DC's `±1` exactness proof fails for some column or
+    /// row of a window of radius `r` at the level-scaled `(px, py)`.
+    #[cfg(target_arch = "x86_64")]
+    fn inexact_taps(px: f32, py: f32, r: i64) -> bool {
+        (-r..=r).any(|d| {
+            [px, py].into_iter().any(|p| {
+                let t = p + d as f32;
+                t + 1.0 != p + (d + 1) as f32 || t - 1.0 != p + (d - 1) as f32
+            })
+        })
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_klt_matches_portable_on_edge_and_inexact_lanes() {
+        // The lanes the AVX2 kernels once handed to the scalar DC and
+        // rows: sub-pixel windows straddling a power of two at every
+        // level (`t ± 1` rounds differently from the grid position),
+        // windows overhanging each border by 1..=r+1 pixels, and tracks
+        // just inside a border whose image moves out of the plane, so
+        // their LSS rows leave it mid-solve. Every one of them now runs
+        // on the vector kernels: the AVX2 run calls no scalar DC or row.
+        let Some(simd) = avx2() else { return };
+        let (w, h) = (560u32, 540u32);
+        let (wf, hf) = (w as f32, h as f32);
+        let prev = textured_sized(w, h, 0.0, 0.0);
+        let nexts = [
+            textured_sized(w, h, 3.6, 2.9),
+            textured_sized(w, h, -3.6, -2.9),
+        ];
+        let deltas = [-8.37f32, -2.71, -0.617, -0.000_1, 0.123, 1.93, 7.45];
+        let mut straddling = Vec::new();
+        for level in 0..4 {
+            let s = (1u32 << level) as f32;
+            for p in [16.0f32, 32.0, 64.0, 128.0, 256.0, 512.0] {
+                for (i, &d) in deltas.iter().enumerate() {
+                    let (x, y) = ((p + d) * s, (p.min(256.0) - deltas[6 - i]) * s);
+                    if x < wf && y < hf {
+                        straddling.push((x, y));
+                    }
+                }
+            }
+        }
+        for levels in 1..=4 {
+            let prev_pyr = Pyramid::build(prev.clone(), levels);
+            let next_pyrs = nexts.clone().map(|next| Pyramid::build(next, levels));
+            for window_radius in 1..=10 {
+                let cfg = KltConfig {
+                    window_radius,
+                    levels,
+                    ..KltConfig::default()
+                };
+                let r = window_radius as f32;
+                let mut pts = straddling.clone();
+                for level in 0..levels {
+                    let s = (1u32 << level) as f32;
+                    let (lw, lh) = (wf / s, hf / s);
+                    for k in 1..=window_radius + 1 {
+                        // The window reaches `k` pixels past the border
+                        // (and `k - 0.4` at the sub-pixel position).
+                        for off in [k as f32, k as f32 - 0.4] {
+                            pts.push(((r - off) * s, lh * 0.4 * s));
+                            pts.push(((lw - 1.0 - r + off) * s, lh * 0.6 * s));
+                            pts.push((lw * 0.3 * s, (r - off) * s));
+                            pts.push((lw * 0.7 * s, (lh - 1.0 - r + off) * s));
+                        }
+                    }
+                    // Interior at the start, within reach of the border
+                    // once the image moves.
+                    for j in [0.5f32, 2.25, 4.0] {
+                        pts.push(((r + 1.0 + j) * s, lh * 0.5 * s));
+                        pts.push(((lw - 2.0 - r - j) * s, lh * 0.5 * s));
+                        pts.push((lw * 0.5 * s, (r + 1.0 + j) * s));
+                        pts.push((lw * 0.5 * s, (lh - 2.0 - r - j) * s));
+                    }
+                }
+                let inexact = (0..levels).any(|level| {
+                    let s = (1u32 << level) as f32;
+                    pts.iter()
+                        .any(|&(x, y)| inexact_taps(x / s, y / s, window_radius))
+                });
+                assert!(
+                    inexact,
+                    "fixture lacks inexact taps at radius {window_radius}"
+                );
+                for (n, next_pyr) in next_pyrs.iter().enumerate() {
+                    let what = format!("radius {window_radius}, levels {levels}, motion {n}");
+                    let scratch =
+                        assert_kernels_agree(&prev_pyr, next_pyr, &pts, &cfg, simd, &what);
+                    assert_eq!(
+                        (scratch.scalar_dc_lanes(), scratch.scalar_lss_rows()),
+                        (0, 0),
+                        "{what}: lanes fell back to the scalar DC or rows"
+                    );
+                }
+            }
         }
     }
 }

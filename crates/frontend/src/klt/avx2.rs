@@ -4,12 +4,27 @@
 //! every vector is the track in lane `l`, so each vector operation
 //! advances all eight tracks by the same step of the scalar solve. Every
 //! lane runs exactly the scalar operation sequence: `mul` and `add` stay
-//! separate (no FMA), sums keep the scalar left-to-right order, and the
-//! truncating cast appears only where the interior proof gives `x ≥ 0`.
+//! separate (no FMA), sums keep the scalar left-to-right order, and each
+//! bilinear sample takes the taps `FloatImage::sample_bilinear` takes.
 //! Each lane is therefore bit-identical to [`dc_window`](super::dc_window)
-//! and to the per-lane LSS rows. A lane these kernels cannot prove
-//! interior, or whose `±1` exactness proof fails, runs the scalar code
-//! instead.
+//! and to the per-lane LSS rows.
+//!
+//! Two samplers serve the lanes. Where every lane of a grid or window
+//! row is provably interior, four 4-element gathers fetch the taps as
+//! 64-bit pairs ([`sample`]). Where some lane reaches past the plane,
+//! the whole grid or row runs the clamped sampler ([`sample_clamped`]):
+//! `floor`, then every tap index clamped to the plane in `f32` before the
+//! truncating cast, so each index stays in bounds at any coordinate, NaN
+//! included, and the taps are the ones the scalar clamp picks. The
+//! clamped sampler alone would give the same bits everywhere, but on
+//! interior lanes the tap pairs are faster (see "The clamped sampler" in
+//! the frontend README). The DC kernel also gathers the direct `t ± 1`
+//! gradient taps of the lanes whose `±1` exactness proof fails, column
+//! by column and row by row, and blends them in. Only a lane with a
+//! non-finite coordinate runs the scalar DC or LSS rows, so NaN and
+//! infinity payloads never meet a vector instruction. A plane one pixel
+//! wide or high is no [`Plane`]: its lanes run the scalar DC and the
+//! portable LSS batch.
 //!
 //! A free lane still occupies its slot of every vector: the gathers skip
 //! it, the arithmetic does not. The solve refills a lane as soon as its
@@ -22,16 +37,18 @@ use std::arch::x86_64::*;
 
 const _: () = assert!(KLT_LANES == 8, "one __m256 holds the lanes of a batch");
 
-/// A plane the kernels can gather from: every flat index fits `i32` and
-/// both coordinate bounds are exact in `f32`.
+/// A plane the kernels can gather from: at least two pixels each way (so
+/// a tap pair's row below exists), every flat index fits `i32` and both
+/// coordinate bounds are exact in `f32`. Lanes on any other plane run
+/// the scalar DC and the portable LSS batch.
 #[derive(Clone, Copy)]
 struct Plane<'a> {
     raw: &'a [f32],
     width: i32,
-    /// `width - 1`: a coordinate `x ≥ 0` has `floor(x) ≤ width - 2` (an
-    /// interior tap pair) iff `x < x_end`.
+    /// `width - 1`: the last column, and for `x ≥ 0`, `floor(x) ≤
+    /// width - 2` (an interior tap pair) iff `x < x_end`.
     x_end: f32,
-    /// `height - 1`, the same bound for rows.
+    /// `height - 1`, the same for rows.
     y_end: f32,
 }
 
@@ -48,14 +65,13 @@ impl<'a> Plane<'a> {
     }
 }
 
-/// DC phase of every live lane whose extended `(w+2)²` grid is interior
-/// on `prev` and whose `±1` gradient taps provably equal grid positions.
-/// Returns the bit mask of those lanes (bit `l` is lane `l`; zero when
-/// no lane qualifies, and then `b` is untouched). Otherwise writes the
-/// template, gradients, column positions and structure tensor (`a11`,
-/// `a12`, `a22`) into all eight lane slots of `b`; the slots of live
-/// lanes outside the mask hold garbage until the caller runs
-/// `dc_window` for them.
+/// DC phase of every live lane whose position is finite. Returns the bit
+/// mask of those lanes (bit `l` is lane `l`; zero when no lane
+/// qualifies or `prev` is no [`Plane`], and then `b` is untouched). Otherwise writes the template,
+/// gradients, column positions and structure tensor (`a11`, `a12`,
+/// `a22`) into all eight lane slots of `b`; the slots of live lanes
+/// outside the mask hold garbage until the caller runs `dc_window` for
+/// them.
 pub(super) fn dc_lanes(_: Avx2, prev: &FloatImage, r: i64, b: &mut TrackBatch) -> u32 {
     match Plane::new(prev) {
         // SAFETY: the `Avx2` token proves the CPU supports AVX2.
@@ -65,18 +81,20 @@ pub(super) fn dc_lanes(_: Avx2, prev: &FloatImage, r: i64, b: &mut TrackBatch) -
 }
 
 /// One LSS iteration of the batch: `(b1, b2, res)` per lane, as
-/// `lss_batch_iteration` computes them.
+/// `lss_batch_iteration` computes them. Adds the lane rows it hands to
+/// `lss_lane_row` to `scalar_rows`.
 pub(super) fn lss_iteration(
     _: Avx2,
     next: &FloatImage,
     b: &TrackBatch,
     w: usize,
     r: i64,
+    scalar_rows: &mut u64,
 ) -> ([f32; KLT_LANES], [f32; KLT_LANES], [f32; KLT_LANES]) {
     match Plane::new(next) {
         // SAFETY: the `Avx2` token proves the CPU supports AVX2.
-        Some(plane) => unsafe { lss_iteration_avx2(plane, next, b, w, r) },
-        None => super::lss_batch_iteration(next, b, w, r),
+        Some(plane) => unsafe { lss_iteration_avx2(plane, next, b, w, r, scalar_rows) },
+        None => super::lss_batch_iteration(next, b, w, r, scalar_rows),
     }
 }
 
@@ -89,67 +107,109 @@ fn dc_lanes_avx2(p: Plane, r: i64, b: &mut TrackBatch) -> u32 {
     let zero = _mm256_setzero_ps();
     let one = _mm256_set1_ps(1.0);
 
-    // Interior proof for the whole grid: `p + d` and `floor` are
-    // monotone in `d`, so the corner samples bound every row and column.
-    let (lo, hi) = (-(r + 1), r + 1);
-    let mut ok = lane_mask(&b.live);
-    ok = _mm256_and_ps(ok, _mm256_cmp_ps::<_CMP_GE_OQ>(offset(px, lo), zero));
-    ok = _mm256_and_ps(
-        ok,
-        _mm256_cmp_ps::<_CMP_LT_OQ>(offset(px, hi), _mm256_set1_ps(p.x_end)),
-    );
-    ok = _mm256_and_ps(ok, _mm256_cmp_ps::<_CMP_GE_OQ>(offset(py, lo), zero));
-    ok = _mm256_and_ps(
-        ok,
-        _mm256_cmp_ps::<_CMP_LT_OQ>(offset(py, hi), _mm256_set1_ps(p.y_end)),
-    );
-    // Exactness: the scalar DC takes a `±1` tap from the grid only where
-    // `t ± 1.0 == p + (d ± 1)`; a lane qualifies when every column and
-    // every row passes, so it never consults a fallback sampler.
-    for d in -r..=r {
-        for v in [px, py] {
-            let t = offset(v, d);
-            ok = _mm256_and_ps(
-                ok,
-                _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_add_ps(t, one), offset(v, d + 1)),
-            );
-            ok = _mm256_and_ps(
-                ok,
-                _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_sub_ps(t, one), offset(v, d - 1)),
-            );
-        }
-    }
+    let ok = _mm256_and_ps(lane_mask(&b.live), _mm256_and_ps(finite(px), finite(py)));
     let bits = _mm256_movemask_ps(ok) as u32;
     if bits == 0 {
         return 0;
     }
 
+    // Interior proof for the whole grid: `p + d` and `floor` are
+    // monotone in `d`, so the corner samples bound every row and column.
+    let (lo, hi) = (-(r + 1), r + 1);
+    let mut inside = ok;
+    inside = _mm256_and_ps(inside, _mm256_cmp_ps::<_CMP_GE_OQ>(offset(px, lo), zero));
+    inside = _mm256_and_ps(
+        inside,
+        _mm256_cmp_ps::<_CMP_LT_OQ>(offset(px, hi), _mm256_set1_ps(p.x_end)),
+    );
+    inside = _mm256_and_ps(inside, _mm256_cmp_ps::<_CMP_GE_OQ>(offset(py, lo), zero));
+    inside = _mm256_and_ps(
+        inside,
+        _mm256_cmp_ps::<_CMP_LT_OQ>(offset(py, hi), _mm256_set1_ps(p.y_end)),
+    );
+
     b.grid.resize(we * we * KLT_LANES, 0.0);
-    let width = _mm256_set1_epi32(p.width);
-    for (erow, edy) in (lo..=hi).enumerate() {
-        let (row0, fy) = row_state(offset(py, edy), width);
-        for (ecol, edx) in (lo..=hi).enumerate() {
-            // SAFETY: every lane in `ok` passed the corner proof, which
-            // bounds `py + edy` and `px + edx` inside the plane.
-            let v = unsafe { sample(p, row0, fy, offset(px, edx), ok) };
-            store(&mut b.grid, erow * we + ecol, v);
+    if _mm256_movemask_ps(inside) as u32 == bits {
+        let width = _mm256_set1_epi32(p.width);
+        for (erow, edy) in (lo..=hi).enumerate() {
+            let (row0, fy) = row_state(offset(py, edy), width);
+            for (ecol, edx) in (lo..=hi).enumerate() {
+                // SAFETY: every lane in `ok` passed the corner proof,
+                // which bounds `py + edy` and `px + edx` inside the plane.
+                let v = unsafe { sample(p, row0, fy, offset(px, edx), ok) };
+                store(&mut b.grid, erow * we + ecol, v);
+            }
         }
+    } else {
+        for (erow, edy) in (lo..=hi).enumerate() {
+            let row = clamped_row(p, offset(py, edy));
+            for (ecol, edx) in (lo..=hi).enumerate() {
+                store(
+                    &mut b.grid,
+                    erow * we + ecol,
+                    sample_clamped(p, row, offset(px, edx), ok),
+                );
+            }
+        }
+    }
+
+    // Exactness: the scalar DC takes a `±1` tap from the grid only where
+    // `t ± 1.0 == p + (d ± 1)`. Each column keeps the lanes that fail for
+    // its right and left tap; `inexact_cols` says whether any does.
+    b.inexact.resize(2 * w * KLT_LANES, 0.0);
+    let mut inexact_cols = 0;
+    for (col, dx) in (-r..=r).enumerate() {
+        let t = offset(px, dx);
+        store(&mut b.txs, col, t);
+        let right = _mm256_and_ps(
+            ok,
+            _mm256_cmp_ps::<_CMP_NEQ_OQ>(_mm256_add_ps(t, one), offset(px, dx + 1)),
+        );
+        let left = _mm256_and_ps(
+            ok,
+            _mm256_cmp_ps::<_CMP_NEQ_OQ>(_mm256_sub_ps(t, one), offset(px, dx - 1)),
+        );
+        store(&mut b.inexact, 2 * col, right);
+        store(&mut b.inexact, 2 * col + 1, left);
+        inexact_cols |= _mm256_movemask_ps(_mm256_or_ps(right, left));
     }
 
     let half = _mm256_set1_ps(0.5);
     let (mut a11, mut a12, mut a22) = (zero, zero, zero);
-    for row in 0..w {
+    for (row, dy) in (-r..=r).enumerate() {
+        let ty = offset(py, dy);
+        let down = _mm256_and_ps(
+            ok,
+            _mm256_cmp_ps::<_CMP_NEQ_OQ>(_mm256_add_ps(ty, one), offset(py, dy + 1)),
+        );
+        let up = _mm256_and_ps(
+            ok,
+            _mm256_cmp_ps::<_CMP_NEQ_OQ>(_mm256_sub_ps(ty, one), offset(py, dy - 1)),
+        );
+        // The rows the direct taps sample (as the scalar DC's `s_mid`,
+        // `s_dn` and `s_up`), set up only when some lane needs them.
+        let mid = (inexact_cols != 0).then(|| clamped_row(p, ty));
+        let below = (_mm256_movemask_ps(down) != 0).then(|| clamped_row(p, _mm256_add_ps(ty, one)));
+        let above = (_mm256_movemask_ps(up) != 0).then(|| clamped_row(p, _mm256_sub_ps(ty, one)));
         for col in 0..w {
             let e = (row + 1) * we + col + 1;
             let t = load(&b.grid, e);
-            let ix = _mm256_mul_ps(
-                _mm256_sub_ps(load(&b.grid, e + 1), load(&b.grid, e - 1)),
-                half,
-            );
-            let iy = _mm256_mul_ps(
-                _mm256_sub_ps(load(&b.grid, e + we), load(&b.grid, e - we)),
-                half,
-            );
+            let (mut right, mut left) = (load(&b.grid, e + 1), load(&b.grid, e - 1));
+            let (mut down_v, mut up_v) = (load(&b.grid, e + we), load(&b.grid, e - we));
+            if let Some(mid) = mid {
+                let tx = load(&b.txs, col);
+                let (need_r, need_l) = (load(&b.inexact, 2 * col), load(&b.inexact, 2 * col + 1));
+                right = direct_tap(p, mid, _mm256_add_ps(tx, one), need_r, right);
+                left = direct_tap(p, mid, _mm256_sub_ps(tx, one), need_l, left);
+            }
+            if let Some(below) = below {
+                down_v = direct_tap(p, below, load(&b.txs, col), down, down_v);
+            }
+            if let Some(above) = above {
+                up_v = direct_tap(p, above, load(&b.txs, col), up, up_v);
+            }
+            let ix = _mm256_mul_ps(_mm256_sub_ps(right, left), half);
+            let iy = _mm256_mul_ps(_mm256_sub_ps(down_v, up_v), half);
             let slot = row * w + col;
             store(&mut b.template, slot, t);
             store(&mut b.grad_x, slot, ix);
@@ -159,14 +219,23 @@ fn dc_lanes_avx2(p: Plane, r: i64, b: &mut TrackBatch) -> u32 {
             a22 = _mm256_add_ps(a22, _mm256_mul_ps(iy, iy));
         }
     }
-    for (col, dx) in (-r..=r).enumerate() {
-        store(&mut b.txs, col, offset(px, dx));
-    }
 
     store(&mut b.a11, 0, a11);
     store(&mut b.a12, 0, a12);
     store(&mut b.a22, 0, a22);
     bits
+}
+
+/// `grid` with the lanes in `need` replaced by the clamped sample at `x`
+/// on `row`: the direct tap the scalar DC samples where its `±1` proof
+/// fails. No gather runs when no lane needs one.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn direct_tap(p: Plane, row: ClampedRow, x: __m256, need: __m256, grid: __m256) -> __m256 {
+    if _mm256_movemask_ps(need) == 0 {
+        return grid;
+    }
+    _mm256_blendv_ps(grid, sample_clamped(p, row, x, need), need)
 }
 
 #[target_feature(enable = "avx2")]
@@ -176,6 +245,7 @@ fn lss_iteration_avx2(
     b: &TrackBatch,
     w: usize,
     r: i64,
+    scalar_rows: &mut u64,
 ) -> ([f32; KLT_LANES], [f32; KLT_LANES], [f32; KLT_LANES]) {
     let active = lane_mask(&b.live);
     let active_bits = _mm256_movemask_ps(active);
@@ -186,11 +256,14 @@ fn lss_iteration_avx2(
     let abs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
     let width = _mm256_set1_epi32(p.width);
     let y_end = _mm256_set1_ps(p.y_end);
-    // Every row samples the same column run, whose endpoints bound it.
+    // Every row samples the same column run, whose endpoints bound it:
+    // finite endpoints make every column finite, and interior ones every
+    // column interior.
     let first = _mm256_add_ps(load(&b.txs, 0), gx);
     let last = _mm256_add_ps(load(&b.txs, w - 1), gx);
+    let finite_run = _mm256_and_ps(active, _mm256_and_ps(finite(first), finite(last)));
     let run = _mm256_and_ps(
-        active,
+        finite_run,
         _mm256_and_ps(
             _mm256_cmp_ps::<_CMP_GE_OQ>(first, zero),
             _mm256_cmp_ps::<_CMP_LT_OQ>(last, _mm256_set1_ps(p.x_end)),
@@ -202,6 +275,7 @@ fn lss_iteration_avx2(
     for (row, dy) in (-r..=r).enumerate() {
         // Same association as the scalar path: `(py + dy) + gy`.
         let y = _mm256_add_ps(offset(py, dy), gy);
+        let served = _mm256_and_ps(finite_run, finite(y));
         let interior = _mm256_and_ps(
             run,
             _mm256_and_ps(
@@ -209,7 +283,7 @@ fn lss_iteration_avx2(
                 _mm256_cmp_ps::<_CMP_LT_OQ>(y, y_end),
             ),
         );
-        let bits = _mm256_movemask_ps(interior);
+        let bits = _mm256_movemask_ps(served);
         let fallback = active_bits & !bits;
         if fallback != 0 {
             // Keep the pre-row sums of the lanes the scalar row serves.
@@ -218,18 +292,31 @@ fn lss_iteration_avx2(
             store(&mut sums[2], 0, res);
         }
         if bits != 0 {
-            let (row0, fy) = row_state(y, width);
-            for col in 0..w {
-                let x = _mm256_add_ps(load(&b.txs, col), gx);
-                // SAFETY: lanes in `interior` have `0 ≤ y < height - 1`
-                // and their column run (which contains `x`) inside
-                // `[0, width - 1)`.
-                let s = unsafe { sample(p, row0, fy, x, interior) };
-                let pix = row * w + col;
+            let base = row * w;
+            let mut accumulate = |col: usize, s: __m256| {
+                let pix = base + col;
                 let it = _mm256_sub_ps(s, load(&b.template, pix));
                 b1 = _mm256_add_ps(b1, _mm256_mul_ps(it, load(&b.grad_x, pix)));
                 b2 = _mm256_add_ps(b2, _mm256_mul_ps(it, load(&b.grad_y, pix)));
                 res = _mm256_add_ps(res, _mm256_and_ps(it, abs));
+            };
+            if _mm256_movemask_ps(interior) == bits {
+                let (row0, fy) = row_state(y, width);
+                for col in 0..w {
+                    let x = _mm256_add_ps(load(&b.txs, col), gx);
+                    // SAFETY: lanes in `interior` have `0 ≤ y < height - 1`
+                    // and their column run (which contains `x`) inside
+                    // `[0, width - 1)`.
+                    accumulate(col, unsafe { sample(p, row0, fy, x, interior) });
+                }
+            } else {
+                // Some lane's row leaves the plane: the clamped sampler
+                // serves every lane of the row.
+                let clamped = clamped_row(p, y);
+                for col in 0..w {
+                    let x = _mm256_add_ps(load(&b.txs, col), gx);
+                    accumulate(col, sample_clamped(p, clamped, x, served));
+                }
             }
         }
         if fallback != 0 {
@@ -243,6 +330,7 @@ fn lss_iteration_avx2(
                 let acc = (saved[0][l], saved[1][l], saved[2][l]);
                 (sums[0][l], sums[1][l], sums[2][l]) = lss_lane_row(next, b, l, row, ys[l], w, acc);
             }
+            *scalar_rows += u64::from(fallback.count_ones());
             b1 = load(&sums[0], 0);
             b2 = load(&sums[1], 0);
             res = load(&sums[2], 0);
@@ -261,6 +349,14 @@ fn lane_mask(flags: &[bool; KLT_LANES]) -> __m256 {
     let m: [i32; KLT_LANES] = flags.map(|f| -i32::from(f));
     // SAFETY: `m` holds eight `i32`s, one unaligned 256-bit load.
     _mm256_castsi256_ps(unsafe { _mm256_loadu_si256(m.as_ptr().cast()) })
+}
+
+/// All-ones lanes where `v` is finite: `|v| < ∞` fails for NaN and ±∞.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn finite(v: __m256) -> __m256 {
+    let abs = _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF)));
+    _mm256_cmp_ps::<_CMP_LT_OQ>(abs, _mm256_set1_ps(f32::INFINITY))
 }
 
 /// `v + d` on every lane, `d` converted as the scalar code converts it.
@@ -288,6 +384,19 @@ fn store(buf: &mut [f32], k: usize, v: __m256) {
     unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) }
 }
 
+/// `p00·(1−fx)·(1−fy) + p10·fx·(1−fy) + p01·(1−fx)·fy + p11·fx·fy`,
+/// left to right: `FloatImage::sample_bilinear`'s formula.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn bilinear(p00: __m256, p10: __m256, p01: __m256, p11: __m256, fx: __m256, fy: __m256) -> __m256 {
+    let one = _mm256_set1_ps(1.0);
+    let (cx, cy) = (_mm256_sub_ps(one, fx), _mm256_sub_ps(one, fy));
+    let s = _mm256_mul_ps(_mm256_mul_ps(p00, cx), cy);
+    let s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_mul_ps(p10, fx), cy));
+    let s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_mul_ps(p01, cx), fy));
+    _mm256_add_ps(s, _mm256_mul_ps(_mm256_mul_ps(p11, fx), fy))
+}
+
 /// Row state at heights `y`, as `RowSampler::new` computes it: the flat
 /// index of `(0, floor(y))` and `fy = y - floor(y)`. Meaningful only on
 /// lanes with `0 ≤ y < height - 1`.
@@ -302,9 +411,7 @@ fn row_state(y: __m256, width: __m256i) -> (__m256i, __m256) {
 /// Bilinear samples at `x` on the rows of `row_state`, gathered only for
 /// lanes in `mask` (the others read nothing and hold garbage). Identical
 /// arithmetic to `RowSampler::sample_interior`: the truncating cast is
-/// `floor` for the proven `x ≥ 0`, and the taps combine as
-/// `p00·(1−fx)·(1−fy) + p10·fx·(1−fy) + p01·(1−fx)·fy + p11·fx·fy`,
-/// left to right.
+/// `floor` for the proven `x ≥ 0`.
 ///
 /// Each gather element is a 64-bit tap pair (`p00, p10` on the row,
 /// `p01, p11` below it), so four 4-element gathers fetch the 32 taps.
@@ -320,8 +427,6 @@ fn row_state(y: __m256, width: __m256i) -> (__m256i, __m256) {
 unsafe fn sample(p: Plane, row0: __m256i, fy: __m256, x: __m256, mask: __m256) -> __m256 {
     let x0 = _mm256_cvttps_epi32(x);
     let fx = _mm256_sub_ps(x, _mm256_cvtepi32_ps(x0));
-    let one = _mm256_set1_ps(1.0);
-    let (cx, cy) = (_mm256_sub_ps(one, fx), _mm256_sub_ps(one, fy));
 
     let order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
     let idx = _mm256_permutevar8x32_epi32(_mm256_add_epi32(row0, x0), order);
@@ -353,9 +458,70 @@ unsafe fn sample(p: Plane, row0: __m256i, fy: __m256, x: __m256, mask: __m256) -
     let p10 = _mm256_shuffle_ps::<0b11_01_11_01>(top_a, top_b);
     let p01 = _mm256_shuffle_ps::<0b10_00_10_00>(bot_a, bot_b);
     let p11 = _mm256_shuffle_ps::<0b11_01_11_01>(bot_a, bot_b);
+    bilinear(p00, p10, p01, p11, fx, fy)
+}
 
-    let s = _mm256_mul_ps(_mm256_mul_ps(p00, cx), cy);
-    let s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_mul_ps(p10, fx), cy));
-    let s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_mul_ps(p01, cx), fy));
-    _mm256_add_ps(s, _mm256_mul_ps(_mm256_mul_ps(p11, fx), fy))
+/// Row state of the clamped sampler: the flat indices of rows `floor(y)`
+/// and `floor(y) + 1`, each clamped to the plane, and `fy = y - floor(y)`.
+#[derive(Clone, Copy)]
+struct ClampedRow {
+    top: __m256i,
+    bottom: __m256i,
+    fy: __m256,
+}
+
+/// [`ClampedRow`] at heights `y`, valid on every lane.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn clamped_row(p: Plane, y: __m256) -> ClampedRow {
+    let y0 = _mm256_floor_ps(y);
+    let width = _mm256_set1_epi32(p.width);
+    let end = _mm256_set1_ps(p.y_end);
+    ClampedRow {
+        top: _mm256_mullo_epi32(clamp_index(y0, end), width),
+        bottom: _mm256_mullo_epi32(
+            clamp_index(_mm256_add_ps(y0, _mm256_set1_ps(1.0)), end),
+            width,
+        ),
+        fy: _mm256_sub_ps(y, y0),
+    }
+}
+
+/// `v` clamped to `[0, end]` in `f32`, then truncated. `max_ps` returns
+/// its second operand when the first is NaN, so NaN clamps to 0, and
+/// every result is an index in `[0, end]`. On integer-valued `v` (a
+/// `floor`) this is the scalar `i64` clamp: beyond `2^24`, where `v + 1`
+/// rounds back to `v`, both clamp to the same end.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn clamp_index(v: __m256, end: __m256) -> __m256i {
+    _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(v, _mm256_setzero_ps()), end))
+}
+
+/// Bilinear samples at `x` on `row` with every tap clamped to the plane,
+/// gathered for the lanes in `mask` (the others hold garbage): what
+/// `RowSampler::sample` and `FloatImage::sample_bilinear` compute at
+/// every finite coordinate, border and interior alike.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn sample_clamped(p: Plane, row: ClampedRow, x: __m256, mask: __m256) -> __m256 {
+    let x0 = _mm256_floor_ps(x);
+    let fx = _mm256_sub_ps(x, x0);
+    let end = _mm256_set1_ps(p.x_end);
+    let c0 = clamp_index(x0, end);
+    let c1 = clamp_index(_mm256_add_ps(x0, _mm256_set1_ps(1.0)), end);
+    let zero = _mm256_setzero_ps();
+    let raw = p.raw.as_ptr();
+    // SAFETY: every index is a clamped row's offset, at most
+    // `(height - 1)·width`, plus a clamped column, at most `width - 1`:
+    // inside the plane, whose size fits `i32`.
+    let (p00, p10, p01, p11) = unsafe {
+        (
+            _mm256_mask_i32gather_ps::<4>(zero, raw, _mm256_add_epi32(row.top, c0), mask),
+            _mm256_mask_i32gather_ps::<4>(zero, raw, _mm256_add_epi32(row.top, c1), mask),
+            _mm256_mask_i32gather_ps::<4>(zero, raw, _mm256_add_epi32(row.bottom, c0), mask),
+            _mm256_mask_i32gather_ps::<4>(zero, raw, _mm256_add_epi32(row.bottom, c1), mask),
+        )
+    };
+    bilinear(p00, p10, p01, p11, fx, row.fy)
 }

@@ -67,15 +67,24 @@
 //! accumulator chains, and the scalar BRIEF loop. No option selects
 //! between them, because both give the same bits: every AVX2 lane runs
 //! the scalar operation sequence (separate `mul` and `add`, no FMA; the
-//! scalar sum order; truncation only where `x ≥ 0` is proven), and any
-//! lane or BRIEF group the kernels cannot prove interior runs the scalar
-//! code. A KLT lane freed by convergence is refilled, not left masked, so
-//! lanes idle only in each level's tail.
+//! scalar sum order; truncation only where `x ≥ 0` is proven or after a
+//! clamp to the plane). KLT lanes at the border stay on the vector
+//! kernels, whose clamped sampler takes the scalar clamp's taps; only a
+//! KLT lane with a non-finite coordinate, or a BRIEF group the kernel
+//! cannot prove interior, runs the scalar code. A KLT lane freed by
+//! convergence is refilled, not left masked, so lanes idle only in each
+//! level's tail.
+//!
+//! Stereo disparity refinement sums its SAD blocks over the `u8` pixels
+//! in integers when the key point and the disparity are integers, as
+//! every FAST corner is, bit-identical to the bilinear `f32` SADs (see
+//! [`stereo`]).
 //!
 //! The scalar solve survives as [`track_one`]/[`track_one_with`] and as
-//! the per-row border fallback inside the batch; everything is
-//! **bit-identical** to the seed solve and the seed descriptor (golden
-//! and property tests in `eudoxus-bench`, all five scenario kinds), and
+//! the portable batch's per-row border fallback; everything is
+//! **bit-identical** to the seed solve, descriptor and stereo matcher
+//! (golden and property tests in `eudoxus-bench`, all five scenario
+//! kinds), and
 //! in-crate tests compare the portable and AVX2 kernels directly. See
 //! `crates/frontend/src/README.md` for the design notes and measured
 //! numbers.

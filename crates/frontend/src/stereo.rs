@@ -8,6 +8,15 @@
 //! * **Disparity refinement (DR)** — refine the matched disparity to
 //!   sub-pixel precision by block matching: a SAD parabola fit around the
 //!   integer disparity \[48\].
+//!
+//! DR takes the paper's integer-pixel route whenever the inputs allow
+//! it: when the left key point and the matched disparity are integers
+//! (every FAST corner is one) and the block radius is at most 127, each
+//! bilinear sample of the three SAD blocks falls on a pixel, so the SADs
+//! are integer sums over the `u8` pixels, clamped at the borders. That
+//! is bit-identical to the `f32` bilinear SADs, whose every partial sum
+//! is an integer below `(2r+1)²·255 < 2^24` and therefore exact. Other
+//! inputs (sub-pixel key points, larger blocks) take the bilinear SADs.
 
 use crate::feature::Feature;
 use eudoxus_image::GrayImage;
@@ -69,7 +78,44 @@ fn block_sad(left: &GrayImage, right: &GrayImage, lx: f32, ly: f32, rx: f32, rad
     sad
 }
 
-/// Sub-pixel disparity refinement by SAD parabola fit at `d−1, d, d+1`.
+/// `(lx, ly, d0)` as integers when [`block_sad_int`] reproduces
+/// [`block_sad`] bit for bit at them: all three are integers in
+/// `[0, 2^23)` and `0 ≤ radius ≤ 127`. Then every sample coordinate of
+/// the three blocks, `lx − d0 ± 1 + dx` included, is an integer below
+/// `2^24` in magnitude, exact in `f32`, where a bilinear sample is the
+/// clamped pixel itself; and each block's `f32` partial sums are
+/// integers below `(2r+1)²·255 ≤ 255³ < 2^24`, so they are exact too.
+fn integer_block(lx: f32, ly: f32, d0: f32, radius: i64) -> Option<(i64, i64, i64)> {
+    let int = |v: f32| ((0.0..8_388_608.0).contains(&v) && v.fract() == 0.0).then_some(v as i64);
+    if !(0..=127).contains(&radius) {
+        return None;
+    }
+    Some((int(lx)?, int(ly)?, int(d0)?))
+}
+
+/// [`block_sad`] at integer centers on the `u8` pixels: the sum of
+/// `|left − right|` over the `(2r+1)²` block, every tap clamped to its
+/// image as `sample_bilinear` clamps it.
+fn block_sad_int(
+    left: &GrayImage,
+    right: &GrayImage,
+    lx: i64,
+    ly: i64,
+    rx: i64,
+    radius: i64,
+) -> u32 {
+    let mut sad = 0;
+    for y in ly - radius..=ly + radius {
+        for dx in -radius..=radius {
+            let (l, r) = (left.get_clamped(lx + dx, y), right.get_clamped(rx + dx, y));
+            sad += u32::from(l.abs_diff(r));
+        }
+    }
+    sad
+}
+
+/// Sub-pixel disparity refinement by SAD parabola fit at `d−1, d, d+1`,
+/// on integer pixels where [`integer_block`] allows it.
 fn refine_disparity(
     left: &GrayImage,
     right: &GrayImage,
@@ -79,9 +125,17 @@ fn refine_disparity(
     cfg: &StereoConfig,
 ) -> f32 {
     let r = cfg.block_radius;
-    let s_m = block_sad(left, right, lx, ly, lx - d0 + 1.0, r);
-    let s_0 = block_sad(left, right, lx, ly, lx - d0, r);
-    let s_p = block_sad(left, right, lx, ly, lx - d0 - 1.0, r);
+    let (s_m, s_0, s_p) = match integer_block(lx, ly, d0, r) {
+        Some((x, y, d)) => {
+            let sad = |rx| block_sad_int(left, right, x, y, rx, r) as f32;
+            (sad(x - d + 1), sad(x - d), sad(x - d - 1))
+        }
+        None => (
+            block_sad(left, right, lx, ly, lx - d0 + 1.0, r),
+            block_sad(left, right, lx, ly, lx - d0, r),
+            block_sad(left, right, lx, ly, lx - d0 - 1.0, r),
+        ),
+    };
     // Parabola vertex of the three SAD samples; offset bounded to ±0.5.
     let denom = s_m - 2.0 * s_0 + s_p;
     if denom.abs() < 1e-6 {
@@ -260,6 +314,64 @@ mod tests {
             "refined disparity {}",
             m[0].disparity
         );
+    }
+
+    /// A `w × h` image of hashed pseudo-random bytes.
+    fn noise(w: u32, h: u32, seed: u32) -> GrayImage {
+        GrayImage::from_fn(w, h, |x, y| {
+            let v =
+                (x.wrapping_mul(7919) ^ y.wrapping_mul(104_729) ^ seed).wrapping_mul(2_654_435_761);
+            (v >> 24) as u8
+        })
+    }
+
+    #[test]
+    fn integer_sads_equal_bilinear_sads_at_every_integer_position() {
+        // Every left center of the image, right centers one pixel past
+        // either border, blocks reaching past every border: the integer
+        // SAD equals the bilinear one bit for bit. Radius 127 (the
+        // largest block whose sums stay below 2^24) runs on a smaller
+        // image to keep the bilinear reference affordable.
+        for (radius, w, h) in [(0, 13, 11), (1, 13, 11), (4, 13, 11), (127, 5, 4)] {
+            let (left, right) = (noise(w, h, 1), noise(w, h, 2));
+            for ly in 0..h as i64 {
+                for lx in 0..w as i64 {
+                    for rx in -1..=w as i64 {
+                        let want =
+                            block_sad(&left, &right, lx as f32, ly as f32, rx as f32, radius);
+                        let got = block_sad_int(&left, &right, lx, ly, rx, radius) as f32;
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "radius {radius} at ({lx}, {ly}), rx {rx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_path_takes_only_exact_inputs() {
+        assert_eq!(integer_block(12.0, 7.0, 3.0, 4), Some((12, 7, 3)));
+        assert_eq!(integer_block(12.0, 7.0, 3.0, 0), Some((12, 7, 3)));
+        assert_eq!(integer_block(12.0, 7.0, 3.0, 127), Some((12, 7, 3)));
+        // (2·128+1)²·255 ≥ 2^24: an f32 partial sum could round.
+        assert_eq!(integer_block(12.0, 7.0, 3.0, 128), None);
+        assert_eq!(integer_block(12.0, 7.0, 3.0, -1), None);
+        // Sub-pixel, negative, too large or non-finite inputs.
+        for (lx, ly, d0) in [
+            (12.25, 7.0, 3.0),
+            (12.0, 7.5, 3.0),
+            (12.0, 7.0, 3.75),
+            (12.0, 7.0, -3.0),
+            (-1.0, 7.0, 3.0),
+            (8_388_608.0, 7.0, 3.0),
+            (12.0, f32::NAN, 3.0),
+            (12.0, 7.0, f32::INFINITY),
+        ] {
+            assert_eq!(integer_block(lx, ly, d0, 4), None, "({lx}, {ly}, {d0})");
+        }
     }
 
     #[test]
