@@ -8,6 +8,23 @@
 //! eliminates landmarks by Schur complement and solves only the reduced
 //! pose system — the same structure the paper's marginalization kernel
 //! exploits in hardware (Fig. 15: `A_rr − A_rm·A_mm⁻¹·A_mr`).
+//!
+//! [`solve_lm`] indexes the 6×3 pose–landmark coupling blocks once per
+//! solve, grouped by landmark. The reduction pairs each block only with
+//! the blocks of its own landmark, so a damping try costs `Σ k_lm²`
+//! block products, where `k_lm` is the number of free keyframes that
+//! observe landmark `lm`; the back-substitution visits each block once.
+//! The floating-point order is fixed, and whole runs are
+//! bit-reproducible:
+//!
+//! - every entry of the reduced matrix and of its right-hand side takes
+//!   its landmark contributions in ascending landmark;
+//! - every landmark's back-substitution right-hand side takes its pose
+//!   contributions in ascending slot;
+//! - every coupling block takes its observations in input order, the
+//!   reprojection row before the disparity row;
+//! - each `W = H_pl·H_ll⁻¹` and each `W·H_lpᵀ` update is formed in full,
+//!   by one fixed expression, before it is added.
 
 use eudoxus_geometry::{Mat3, PinholeCamera, Pose, Quaternion, Vec2, Vec3};
 use eudoxus_math::{schur_complement, Matrix, Vector};
@@ -151,6 +168,51 @@ pub fn total_cost_with(p: &BaProblem, huber_px: f64, gate_px: f64) -> f64 {
     cost
 }
 
+/// The pose–landmark coupling blocks of one solve, indexed once: the
+/// observations and the free-pose slots do not change between iterations.
+struct CouplingIndex {
+    /// The distinct `(landmark, slot)` pairs of observations on free
+    /// keyframes, sorted: each landmark's pairs are contiguous and in
+    /// ascending slot.
+    pairs: Vec<(usize, usize)>,
+    /// `pairs[bucket_start[lm]..bucket_start[lm + 1]]` are landmark
+    /// `lm`'s pairs.
+    bucket_start: Vec<usize>,
+    /// Each observation's pair, `None` on a fixed keyframe.
+    of_obs: Vec<Option<usize>>,
+}
+
+impl CouplingIndex {
+    fn new(p: &BaProblem, slots: &[Option<usize>]) -> Self {
+        let key = |o: &BaObservation| slots[o.kf].map(|slot| (o.landmark, slot));
+        let mut pairs: Vec<(usize, usize)> = p.observations.iter().filter_map(key).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut bucket_start = vec![0; p.landmarks.len() + 1];
+        for &(lm, _) in &pairs {
+            bucket_start[lm + 1] += 1;
+        }
+        for lm in 0..p.landmarks.len() {
+            bucket_start[lm + 1] += bucket_start[lm];
+        }
+        let of_obs = p
+            .observations
+            .iter()
+            .map(|o| key(o).map(|k| pairs.binary_search(&k).expect("every pair is indexed")))
+            .collect();
+        CouplingIndex {
+            pairs,
+            bucket_start,
+            of_obs,
+        }
+    }
+
+    /// Indices of landmark `lm`'s pairs, in ascending slot.
+    fn bucket(&self, lm: usize) -> std::ops::Range<usize> {
+        self.bucket_start[lm]..self.bucket_start[lm + 1]
+    }
+}
+
 /// Solves the problem in place. Returns statistics; on unrecoverable
 /// numerical failure the problem is left at its best-so-far state.
 pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) -> LmResult {
@@ -184,6 +246,10 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
         return result;
     }
 
+    let coupling = CouplingIndex::new(p, &slots);
+    // Pose-landmark coupling: one 6×3 block per indexed pair, present
+    // once an observation of the pair passes this iteration's gates.
+    let mut h_pl: Vec<Option<[[f64; 3]; 6]>> = vec![None; coupling.pairs.len()];
     let mut lambda = cfg.initial_lambda;
     let mut cost = initial_cost;
     for _ in 0..cfg.max_iterations {
@@ -192,14 +258,9 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
         let mut g_p = Vector::zeros(np);
         let mut h_ll: Vec<Mat3> = vec![Mat3::zero(); n_lm];
         let mut g_l: Vec<Vec3> = vec![Vec3::zero(); n_lm];
-        // Sparse pose-landmark coupling: (slot, lm) → 6×3 block. BTreeMap
-        // rather than HashMap: the Schur reduction below iterates this map
-        // accumulating floats, and a deterministic order keeps whole runs
-        // bit-reproducible (HashMap order varies per instance).
-        let mut h_pl: std::collections::BTreeMap<(usize, usize), [[f64; 3]; 6]> =
-            std::collections::BTreeMap::new();
+        h_pl.fill(None);
 
-        for o in &p.observations {
+        for (o, &pair) in p.observations.iter().zip(&coupling.of_obs) {
             let pose = p.poses[o.kf];
             let lm = p.landmarks[o.landmark];
             let p_cam = pose.inverse_transform(lm);
@@ -235,7 +296,8 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
             );
             g_l[o.landmark] += gl;
 
-            if let Some(slot) = slots[o.kf] {
+            if let Some(pair) = pair {
+                let slot = coupling.pairs[pair].1;
                 // Pose residual jacobian J_p = [−jh_th | +jh_l].
                 let mut jp = [[0.0f64; 6]; 2];
                 for c in 0..3 {
@@ -253,7 +315,7 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
                     g_p[base + a] += w * (jp[0][a] * r[0] + jp[1][a] * r[1]);
                 }
                 // Coupling block J_pᵀ J_l (6×3), J_l = −jh_l.
-                let entry = h_pl.entry((slot, o.landmark)).or_insert([[0.0; 3]; 6]);
+                let entry = h_pl[pair].get_or_insert([[0.0; 3]; 6]);
                 for a in 0..6 {
                     for b in 0..3 {
                         entry[a][b] +=
@@ -294,7 +356,8 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
                         -w_d * jl_d[1] * r_d,
                         -w_d * jl_d[2] * r_d,
                     );
-                    if let Some(slot) = slots[o.kf] {
+                    if let Some(pair) = pair {
+                        let slot = coupling.pairs[pair].1;
                         // ∂h_d/∂δθ = dd_dz · (Rᵀ·hat(l−t)) row 2;
                         // ∂h_d/∂δp = −jl_d.
                         let hat = Mat3::hat(lm - pose.translation);
@@ -316,8 +379,7 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
                             }
                             g_p[base + a] += w_d * jp_d[a] * r_d;
                         }
-                        let entry =
-                            h_pl.entry((slot, o.landmark)).or_insert([[0.0; 3]; 6]);
+                        let entry = h_pl[pair].get_or_insert([[0.0; 3]; 6]);
                         for a in 0..6 {
                             for b in 0..3 {
                                 entry[a][b] += w_d * jp_d[a] * (-jl_d[b]);
@@ -393,7 +455,8 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
             let mut s = h_pp.clone();
             s.add_diag(lambda);
             let mut rhs = -&g_p;
-            for (&(slot, lm), blk) in &h_pl {
+            for (&(lm, slot), blk) in coupling.pairs.iter().zip(&h_pl) {
+                let Some(blk) = blk else { continue };
                 let inv = ll_inv[lm];
                 // W = H_pl·H_ll⁻¹ (6×3).
                 let mut w = [[0.0f64; 3]; 6];
@@ -403,10 +466,9 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
                     }
                 }
                 // S block (slot, slot2) -= W·H_lpᵀ for every slot2 sharing lm.
-                for (&(slot2, lm2), blk2) in &h_pl {
-                    if lm2 != lm {
-                        continue;
-                    }
+                for pair2 in coupling.bucket(lm) {
+                    let Some(blk2) = &h_pl[pair2] else { continue };
+                    let slot2 = coupling.pairs[pair2].1;
                     let base = 6 * slot;
                     let base2 = 6 * slot2;
                     for a in 0..6 {
@@ -430,7 +492,8 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
             // Back-substitute landmarks: δl = H_ll⁻¹(−g_l − H_lp·δp).
             let mut dl: Vec<Vec3> = vec![Vec3::zero(); n_lm];
             let mut rhs_l: Vec<Vec3> = g_l.iter().map(|g| -*g).collect();
-            for (&(slot, lm), blk) in &h_pl {
+            for (&(lm, slot), blk) in coupling.pairs.iter().zip(&h_pl) {
+                let Some(blk) = blk else { continue };
                 let base = 6 * slot;
                 let mut acc = Vec3::zero();
                 for b in 0..3 {

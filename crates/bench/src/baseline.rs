@@ -1,12 +1,16 @@
-//! Seed (pre-scratch) implementations of the frontend hot-path kernels.
+//! Seed (pre-scratch) implementations of the frontend hot-path kernels,
+//! and the seed bundle-adjustment solve of the SLAM backend.
 //!
 //! These are the per-frame-allocating, clamp-every-pixel versions the
-//! optimized `*_into` kernels replaced. They are preserved here for two
-//! jobs:
+//! optimized `*_into` kernels replaced, and the solve whose Schur
+//! reduction scanned every coupling block for every other one
+//! ([`solve_lm_baseline`]). They are preserved here for two jobs:
 //!
 //! 1. **Golden reference** — the bit-identity tests assert the optimized
 //!    kernels (and the whole [`Frontend`](eudoxus_frontend::Frontend)
-//!    with its pyramid cache) produce byte-identical output to this code.
+//!    with its pyramid cache) produce byte-identical output to this code,
+//!    and that [`solve_lm`](eudoxus_backend::slam::solve_lm) returns the
+//!    seed solve's poses, landmarks and statistics bit for bit.
 //! 2. **Before/after measurement** — the `throughput` binary and the
 //!    `frontend_kernels` benches run both paths in the same process, so
 //!    every `BENCH_throughput.json` records its own pre-PR baseline.
@@ -14,12 +18,16 @@
 //! The code intentionally mirrors the seed revision: do not "fix" or
 //! optimize it, or the baseline stops being one.
 
+mod ba;
+
+pub use ba::solve_lm_baseline;
+
 use eudoxus_frontend::fast::CIRCLE;
 use eudoxus_frontend::{
     FastConfig, Feature, FrameStats, FrontendConfig, FrontendFrame, FrontendTiming, KeyPoint,
     KltConfig, Observation, OrbConfig, OrbDescriptor, StereoConfig, StereoMatch, TrackOutcome,
 };
-use eudoxus_image::{FloatImage, GrayImage, Pyramid};
+use eudoxus_image::{FloatImage, GrayImage};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -373,21 +381,21 @@ fn track_level_baseline(
 }
 
 fn track_one_baseline(
-    prev_pyr: &Pyramid,
-    next_pyr: &Pyramid,
+    prev_pyr: &[GrayImage],
+    next_pyr: &[GrayImage],
     x: f32,
     y: f32,
     cfg: &KltConfig,
 ) -> TrackOutcome {
-    let levels = prev_pyr.levels().min(next_pyr.levels());
+    let levels = prev_pyr.len().min(next_pyr.len());
     let mut gx = 0.0f32;
     let mut gy = 0.0f32;
     let mut residual = f32::MAX;
     let mut degenerate = false;
     for li in (0..levels).rev() {
-        let scale = prev_pyr.scale(li);
+        let scale = (1u32 << li) as f32;
         let (lx, ly) = (x / scale, y / scale);
-        match track_level_baseline(prev_pyr.level(li), next_pyr.level(li), lx, ly, gx, gy, cfg) {
+        match track_level_baseline(&prev_pyr[li], &next_pyr[li], lx, ly, gx, gy, cfg) {
             Some((dx, dy, res)) => {
                 residual = res;
                 if li > 0 {
@@ -409,7 +417,7 @@ fn track_one_baseline(
     }
     let nx = x + gx;
     let ny = y + gy;
-    let base = next_pyr.level(0);
+    let base = &next_pyr[0];
     let m = cfg.window_radius as f32;
     if nx < m || ny < m || nx >= base.width() as f32 - m || ny >= base.height() as f32 - m {
         return TrackOutcome::OutOfBounds;
@@ -424,6 +432,43 @@ fn track_one_baseline(
     }
 }
 
+/// Seed 2×2 downsample: clamps both source coordinates of every output
+/// pixel and reads and writes through the bounds-checked accessors.
+pub fn downsample_2x_baseline(img: &GrayImage) -> GrayImage {
+    let w = (img.width() / 2).max(1);
+    let h = (img.height() / 2).max(1);
+    let mut out = GrayImage::new(w, h);
+    for y in 0..h {
+        let sy = 2 * y;
+        let sy1 = (sy + 1).min(img.height() - 1);
+        for x in 0..w {
+            let sx = 2 * x;
+            let sx1 = (sx + 1).min(img.width() - 1);
+            let a = img.get(sx, sy) as u16;
+            let b = img.get(sx1, sy) as u16;
+            let c = img.get(sx, sy1) as u16;
+            let d = img.get(sx1, sy1) as u16;
+            out.put(x, y, ((a + b + c + d) / 4) as u8);
+        }
+    }
+    out
+}
+
+/// Seed pyramid levels (level 0 first): up to `max_levels`, halving with
+/// [`downsample_2x_baseline`] until a level is below 16 pixels on a side.
+fn pyramid_baseline(base: &GrayImage, max_levels: usize) -> Vec<GrayImage> {
+    assert!(max_levels > 0, "a pyramid needs at least one level");
+    let mut levels = vec![base.clone()];
+    while levels.len() < max_levels {
+        let prev = levels.last().expect("non-empty");
+        if prev.width() < 16 || prev.height() < 16 {
+            break;
+        }
+        levels.push(downsample_2x_baseline(prev));
+    }
+    levels
+}
+
 /// Seed pyramidal tracking: clones both images and builds both pyramids
 /// on every call.
 pub fn track_pyramidal_baseline(
@@ -432,8 +477,8 @@ pub fn track_pyramidal_baseline(
     points: &[(f32, f32)],
     cfg: &KltConfig,
 ) -> Vec<TrackOutcome> {
-    let prev_pyr = Pyramid::build(prev.clone(), cfg.levels);
-    let next_pyr = Pyramid::build(next.clone(), cfg.levels);
+    let prev_pyr = pyramid_baseline(prev, cfg.levels);
+    let next_pyr = pyramid_baseline(next, cfg.levels);
     points
         .iter()
         .map(|&(x, y)| track_one_baseline(&prev_pyr, &next_pyr, x, y, cfg))

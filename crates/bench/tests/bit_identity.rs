@@ -10,8 +10,8 @@
 
 use eudoxus_bench::assert_outcomes_bit_identical;
 use eudoxus_bench::baseline::{
-    compute_orb_baseline, detect_fast_baseline, gaussian_blur_baseline, match_stereo_baseline,
-    track_pyramidal_baseline, BaselineFrontend,
+    compute_orb_baseline, detect_fast_baseline, downsample_2x_baseline, gaussian_blur_baseline,
+    match_stereo_baseline, track_pyramidal_baseline, BaselineFrontend,
 };
 use eudoxus_frontend::{
     compute_orb, detect_fast_into, match_stereo, track_pyramidal_into, FastConfig, FastScratch,
@@ -214,6 +214,37 @@ fn orb_kernel_matches_seed_bitwise() {
             described > points.len(),
             "{kind:?}: most points must be described"
         );
+    }
+}
+
+#[test]
+fn downsample_kernel_matches_seed_bitwise() {
+    // The pyramid step against the seed's clamped per-pixel loop: every
+    // size from 1×1 to 39×19 (odd, even and one-pixel sides) cut from a
+    // rendered frame, saturated content, and both full frames of every
+    // scenario kind. The `_into` form reuses one buffer throughout, as a
+    // pyramid level is reused, holding the previous check's pixels.
+    let mut warm = GrayImage::filled(320, 240, 3);
+    let mut check = |img: &GrayImage, what: &str| {
+        let seed = downsample_2x_baseline(img);
+        assert!(img.downsample_2x() == seed, "{what}: downsample_2x");
+        img.downsample_2x_into(&mut warm);
+        assert!(warm == seed, "{what}: downsample_2x_into");
+    };
+    let data = dataset(ScenarioKind::Mixed, 1);
+    let frame = &data.frames[0].left;
+    for w in 1..=39 {
+        for h in 1..=19 {
+            check(&crop(frame, 301, 207, w, h), &format!("{w}x{h} crop"));
+        }
+    }
+    for (w, h) in [(1, 1), (1, 6), (7, 1), (8, 8), (9, 5)] {
+        check(&GrayImage::filled(w, h, 255), &format!("{w}x{h} saturated"));
+    }
+    for kind in KINDS {
+        let data = dataset(kind, 1);
+        check(&data.frames[0].left, &format!("{kind:?} left"));
+        check(&data.frames[0].right, &format!("{kind:?} right"));
     }
 }
 

@@ -233,21 +233,27 @@ impl GrayImage {
 
     /// [`downsample_2x`](Self::downsample_2x) into a reusable buffer
     /// (allocation-free once `out` is warm). Bit-identical output.
+    ///
+    /// Each output pixel averages a 2×2 block read from two source row
+    /// slices. A source one pixel high repeats its row, and one pixel
+    /// wide its column; no other block reaches past the border.
     pub fn downsample_2x_into(&self, out: &mut GrayImage) {
         let w = (self.width / 2).max(1);
         let h = (self.height / 2).max(1);
         out.reshape(w, h);
-        for y in 0..h {
+        let sw = self.width as usize;
+        for (y, dst) in out.data.chunks_exact_mut(w as usize).enumerate() {
             let sy = 2 * y;
-            let sy1 = (sy + 1).min(self.height - 1);
-            for x in 0..w {
-                let sx = 2 * x;
-                let sx1 = (sx + 1).min(self.width - 1);
-                let a = self.get(sx, sy) as u16;
-                let b = self.get(sx1, sy) as u16;
-                let c = self.get(sx, sy1) as u16;
-                let d = self.get(sx1, sy1) as u16;
-                out.put(x, y, ((a + b + c + d) / 4) as u8);
+            let sy1 = (sy + 1).min(self.height as usize - 1);
+            let top = &self.data[sy * sw..][..sw];
+            let bottom = &self.data[sy1 * sw..][..sw];
+            if sw < 2 {
+                dst[0] = ((2 * top[0] as u16 + 2 * bottom[0] as u16) / 4) as u8;
+                continue;
+            }
+            let blocks = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+            for (d, (t, b)) in dst.iter_mut().zip(blocks) {
+                *d = ((t[0] as u16 + t[1] as u16 + b[0] as u16 + b[1] as u16) / 4) as u8;
             }
         }
     }

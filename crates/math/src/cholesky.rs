@@ -87,11 +87,17 @@ impl Cholesky {
     /// [`MathError::DimensionMismatch`] when `b.len()` differs from the
     /// factored dimension.
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
-        let y = forward_substitute(&self.l, b)?;
-        backward_substitute(&self.l.transpose(), &y)
+        self.solve_with(&self.l.transpose(), b)
     }
 
-    /// Solves `A X = B` column-by-column.
+    /// [`solve`](Self::solve) against a precomputed `Lᵀ`.
+    fn solve_with(&self, l_t: &Matrix, b: &Vector) -> Result<Vector> {
+        let y = forward_substitute(&self.l, b)?;
+        backward_substitute(l_t, &y)
+    }
+
+    /// Solves `A X = B` column-by-column, transposing `L` once for all
+    /// columns.
     ///
     /// # Errors
     ///
@@ -103,9 +109,10 @@ impl Cholesky {
                 right: b.shape(),
             });
         }
+        let l_t = self.l.transpose();
         let mut out = Matrix::zeros(b.rows(), b.cols());
         for j in 0..b.cols() {
-            let x = self.solve(&b.col(j))?;
+            let x = self.solve_with(&l_t, &b.col(j))?;
             for i in 0..b.rows() {
                 out[(i, j)] = x[i];
             }
@@ -187,6 +194,35 @@ mod tests {
         let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
         let c = Cholesky::factor(&a).unwrap();
         assert!((c.log_det() - 24.0f64.ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cholesky_solves_match_substitutions_bitwise() {
+        // On random SPD matrices (1×1 included), `solve` and every column
+        // of `solve_matrix` equal forward substitution against `L` then
+        // backward substitution against `Lᵀ`, bit for bit.
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC401);
+        for n in [1, 1, 2, 3, 6, 17, 40] {
+            let b = Matrix::from_fn(n, n, |_, _| rng.random_range(-2.0..2.0));
+            let mut a = b.outer_gram();
+            a.add_diag(rng.random_range(1e-3..1.0));
+            let chol = Cholesky::factor(&a).unwrap();
+            let l_t = chol.l().transpose();
+            let rhs = Matrix::from_fn(n, n + 3, |_, _| rng.random_range(-10.0..10.0));
+            let x = chol.solve_matrix(&rhs).unwrap();
+            for j in 0..rhs.cols() {
+                let col = rhs.col(j);
+                let y = forward_substitute(chol.l(), &col).unwrap();
+                let want = backward_substitute(&l_t, &y).unwrap();
+                let bits =
+                    |v: &Vector| v.as_slice().iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                let solved = chol.solve(&col).unwrap();
+                assert_eq!(bits(&solved), bits(&want), "solve, n {n}");
+                assert_eq!(bits(&x.col(j)), bits(&want), "solve_matrix col {j}, n {n}");
+            }
+        }
     }
 
     #[test]
