@@ -1,26 +1,34 @@
 //! Seed (pre-scratch) implementations of the frontend hot-path kernels,
-//! and the seed bundle-adjustment solve of the SLAM backend.
+//! the seed bundle-adjustment solve of the SLAM backend, and the seed
+//! sensor-fault process.
 //!
 //! These are the per-frame-allocating, clamp-every-pixel versions the
-//! optimized `*_into` kernels replaced, and the solve whose Schur
+//! optimized `*_into` kernels replaced, the solve whose Schur
 //! reduction scanned every coupling block for every other one
-//! ([`solve_lm_baseline`]). They are preserved here for two jobs:
+//! ([`solve_lm_baseline`]), and the fault process whose pixel noise drew
+//! one generator output after another ([`BaselineFaultProcess`]). They
+//! are preserved here for two jobs:
 //!
 //! 1. **Golden reference** — the bit-identity tests assert the optimized
 //!    kernels (and the whole [`Frontend`](eudoxus_frontend::Frontend)
 //!    with its pyramid cache) produce byte-identical output to this code,
-//!    and that [`solve_lm`](eudoxus_backend::slam::solve_lm) returns the
-//!    seed solve's poses, landmarks and statistics bit for bit.
+//!    that [`solve_lm`](eudoxus_backend::slam::solve_lm) returns the
+//!    seed solve's poses, landmarks and statistics bit for bit, and that
+//!    [`FaultProcess`](eudoxus_faults::FaultProcess) emits the seed
+//!    process's events and counters bit for bit.
 //! 2. **Before/after measurement** — the `throughput` binary and the
-//!    `frontend_kernels` benches run both paths in the same process, so
-//!    every `BENCH_throughput.json` records its own pre-PR baseline.
+//!    `frontend_kernels` and `fault_injection` benches run both paths in
+//!    the same process, so every `BENCH_throughput.json` records its own
+//!    pre-PR baseline.
 //!
 //! The code intentionally mirrors the seed revision: do not "fix" or
 //! optimize it, or the baseline stops being one.
 
 mod ba;
+mod faults;
 
 pub use ba::solve_lm_baseline;
+pub use faults::BaselineFaultProcess;
 
 use eudoxus_frontend::fast::CIRCLE;
 use eudoxus_frontend::{

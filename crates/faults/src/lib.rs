@@ -27,10 +27,10 @@
 //!   faulted form (`None` when a burst swallowed it);
 //!   [`fork`](FaultProcess::fork) restarts an identical process for
 //!   per-agent stamping. A **fixed draw schedule** (images two draws,
-//!   IMU six, GPS four, boundaries zero; pixel noise on a sub-generator)
-//!   makes the faulted stream a pure function of
-//!   `(plan, seed, input events)` — the same discipline as
-//!   `eudoxus-link`'s `StochasticLink`.
+//!   IMU six, GPS four, boundaries zero; pixel noise on a counter-based
+//!   sub-stream, four pixels per step on AVX2 hosts) makes the faulted
+//!   stream a pure function of `(plan, seed, input events)` — the same
+//!   discipline as `eudoxus-link`'s `StochasticLink`.
 //! * [`FaultInjector`] — an `EventSource` adapter wrapping any inner
 //!   source, absorbing dropped events transparently.
 //! * [`FaultProfile`] — canned personalities, mildest → worst:

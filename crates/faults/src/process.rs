@@ -7,22 +7,48 @@
 //! effects the plan enables — image events two (drop transition, pixel
 //! noise sub-seed), IMU events six (three gyro + three accel walk
 //! steps), GPS events four (outage transition, three multipath axes),
-//! segment boundaries zero. Per-pixel noise runs on a *sub*-generator
-//! seeded from the schedule, so its draw count (which varies with image
-//! size) never shifts the main stream. The faulted stream is therefore
-//! a pure function of `(plan, seed, event sequence)` — two processes
-//! built alike replay bit-identical traces, which is what makes
-//! degradation experiments reproducible.
+//! segment boundaries zero. The faulted stream is therefore a pure
+//! function of `(plan, seed, event sequence)` — two processes built alike
+//! replay bit-identical traces, which is what makes degradation
+//! experiments reproducible.
+//!
+//! ## Pixel noise
+//!
+//! Per-pixel noise runs on a *sub*-stream keyed by the image event's
+//! noise sub-seed, so its draw count (which varies with image size) never
+//! shifts the main stream. The sub-stream is counter-based: its draw `k`
+//! (from 1) is SplitMix64's `k`-th output, `mix(sub_seed + k·γ)`, which is
+//! exactly what `StdRng::seed_from_u64(sub_seed)` returns `k`-th, so no
+//! pixel waits for another pixel's draw. Draws count through the left
+//! image in row-major order and on through the right image. A draw maps
+//! to `u ∈ [0, 1)` as `random::<f64>()` maps it, and pixel `v` becomes
+//! `((v·gain) + bias) + noise·(2u − 1)`, clamped to `[0, 255]` and
+//! truncated, with every operation rounded on its own (no FMA). A frame
+//! whose plan has no noise runs the same loop with `noise = 0`: each `n`
+//! is then `±0`, which leaves every byte where the draw-free ramp puts it.
+//!
+//! On x86-64 CPUs that report AVX2 (asked through [`Isa`]), a kernel
+//! computes four pixels per step, each lane with its own counter, and
+//! finishes a row-major tail of fewer than four pixels with the scalar
+//! loop. Everywhere else — other architectures, CPUs without AVX2 — the
+//! scalar counter loop runs alone. Both give the bytes of a sequential
+//! `StdRng` loop over the same sub-seed: `eudoxus-bench` keeps the seed
+//! process, which runs that loop, as `BaselineFaultProcess`, and its
+//! `fault_identity` test compares the two processes event by event.
 
 use std::sync::Arc;
 
 use eudoxus_geometry::Vec3;
+use eudoxus_image::isa::Isa;
 use eudoxus_image::GrayImage;
 use eudoxus_stream::{EventSource, SensorEvent, SourcePoll};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::plan::FaultPlan;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Gray level vision-blackout frames are filled with: featureless
 /// mid-gray, the worst case for a corner detector.
@@ -255,10 +281,12 @@ impl FaultProcess {
                 let gain = if exposing { 1.0 - p.exposure_gain * r } else { 1.0 };
                 let bias = if exposing { p.exposure_bias * r } else { 0.0 };
                 let noise = if noisy { p.pixel_noise } else { 0.0 };
-                let mut pixel_rng = StdRng::seed_from_u64(noise_seed);
-                image.left = Arc::new(corrupt_image(&image.left, gain, bias, noise, &mut pixel_rng));
-                image.right =
-                    Arc::new(corrupt_image(&image.right, gain, bias, noise, &mut pixel_rng));
+                let c = Corruption { gain, bias, noise };
+                // The right image's draws continue where the left's end.
+                let left_draws = image.left.as_raw().len() as u64;
+                let right_state = noise_seed.wrapping_add(left_draws.wrapping_mul(GAMMA));
+                image.left = Arc::new(corrupt_image(&image.left, c, noise_seed));
+                image.right = Arc::new(corrupt_image(&image.right, c, right_state));
                 self.counters.images_corrupted += 1;
                 Some(SensorEvent::Image(image))
             }
@@ -266,29 +294,73 @@ impl FaultProcess {
     }
 }
 
-/// One corrupted copy of `img`: `v ↦ clamp(v·gain + bias + n)` with
-/// per-pixel uniform noise `n ∈ [-noise, noise)` from `rng`.
-fn corrupt_image(
-    img: &GrayImage,
+/// SplitMix64's state increment γ, as the shim's `StdRng` steps by it.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The multipliers of SplitMix64's output function.
+const MIX_MUL: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
+/// SplitMix64's output for counter state `z`: the draw the shim's
+/// `StdRng` returns once its state has reached `z`.
+fn mix(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(MIX_MUL[0]);
+    let z = (z ^ (z >> 27)).wrapping_mul(MIX_MUL[1]);
+    z ^ (z >> 31)
+}
+
+/// A draw mapped to `[0, 1)` as `random::<f64>()` maps it: its top 53
+/// bits times 2⁻⁵³, both steps exact.
+fn unit(z: u64) -> f64 {
+    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The pixel map of one corrupted image event.
+#[derive(Debug, Clone, Copy)]
+struct Corruption {
     gain: f64,
     bias: f64,
     noise: f64,
-    rng: &mut StdRng,
-) -> GrayImage {
+}
+
+impl Corruption {
+    /// Pixel `v` under draw `z`: `clamp(v·gain + bias + n)` with
+    /// `n = noise·(2u − 1) ∈ [-noise, noise)`.
+    fn pixel(self, v: u8, z: u64) -> u8 {
+        let n = self.noise * (unit(z) * 2.0 - 1.0);
+        (f64::from(v) * self.gain + self.bias + n).clamp(0.0, 255.0) as u8
+    }
+}
+
+/// One corrupted copy of `img`: pixel `i` (row-major) under draw `i + 1`
+/// past counter state `state`.
+fn corrupt_image(img: &GrayImage, c: Corruption, state: u64) -> GrayImage {
     let (w, h) = img.dimensions();
-    let data = img
-        .as_raw()
-        .iter()
-        .map(|&v| {
-            let n = if noise != 0.0 {
-                noise * (rng.random::<f64>() * 2.0 - 1.0)
-            } else {
-                0.0
-            };
-            (f64::from(v) * gain + bias + n).clamp(0.0, 255.0) as u8
-        })
-        .collect();
+    let mut data = vec![0; img.as_raw().len()];
+    corrupt_with(Isa::detect(), c, img.as_raw(), &mut data, state);
     GrayImage::from_vec(w, h, data)
+}
+
+/// `dst[i] = c.pixel(src[i], mix(state + (i + 1)·γ))` on the kernel `isa`
+/// names.
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` differ in length.
+fn corrupt_with(isa: Isa, c: Corruption, src: &[u8], dst: &mut [u8], state: u64) {
+    assert_eq!(src.len(), dst.len(), "corrupt_with: length mismatch");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2(avx2) => avx2::corrupt(avx2, c, src, dst, state),
+        Isa::Portable => corrupt_portable(c, src, dst, state),
+    }
+}
+
+/// The portable kernel: one counter step and one pixel at a time.
+fn corrupt_portable(c: Corruption, src: &[u8], dst: &mut [u8], state: u64) {
+    let mut z = state;
+    for (d, &v) in dst.iter_mut().zip(src) {
+        z = z.wrapping_add(GAMMA);
+        *d = c.pixel(v, mix(z));
+    }
 }
 
 /// An [`EventSource`] adapter applying a [`FaultProcess`] to everything
@@ -391,6 +463,190 @@ mod tests {
             events.push(image_event(t, i as u8));
         }
         events
+    }
+
+    #[test]
+    fn counter_draws_match_the_std_rng_stream() {
+        // Draw k of a sub-stream is `mix(seed + k·γ)`, the k-th output of
+        // the shim's `StdRng`: the pixel kernels rely on it to compute
+        // every draw from its index. Fails if the shim's generator or its
+        // `f64` mapping ever changes.
+        let mut meta = StdRng::seed_from_u64(0xFA17);
+        let mut seeds = vec![0, 1, 42, u64::MAX, u64::MAX - 1];
+        seeds.extend((0..4).map(|_| meta.random::<u64>()));
+        for seed in seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for k in 1..=4096u64 {
+                let want: f64 = rng.random();
+                let got = unit(mix(seed.wrapping_add(k.wrapping_mul(GAMMA))));
+                assert_eq!(got.to_bits(), want.to_bits(), "seed={seed:#x} k={k}");
+            }
+        }
+    }
+
+    /// The AVX2 kernel, when the host has it (`None` skips the
+    /// portable-vs-AVX2 comparisons below).
+    #[cfg(target_arch = "x86_64")]
+    fn avx2() -> Option<Isa> {
+        let isa = eudoxus_image::isa::Avx2::detect().map(Isa::Avx2);
+        if isa.is_none() {
+            eprintln!("host lacks AVX2: portable-vs-AVX2 comparison skipped");
+        }
+        isa
+    }
+
+    /// Both kernels on `src` under `c` from counter state `state`, with
+    /// `dst` prefilled so an unwritten byte shows.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_kernels_agree(simd: Isa, c: Corruption, src: &[u8], state: u64) {
+        let mut want = vec![0xA5; src.len()];
+        let mut got = vec![0x5A; src.len()];
+        corrupt_with(Isa::Portable, c, src, &mut want, state);
+        corrupt_with(simd, c, src, &mut got, state);
+        assert_eq!(got, want, "{c:?} state={state:#x} len={}", src.len());
+    }
+
+    /// A random corruption: gains around the ramp's `[0.4, 1]` and beyond,
+    /// biases and noise large enough for both clamps to bind, and a
+    /// noise-free one in every eight.
+    #[cfg(target_arch = "x86_64")]
+    fn random_corruption(rng: &mut StdRng) -> Corruption {
+        Corruption {
+            gain: rng.random_range(-0.5..2.5),
+            bias: rng.random_range(-300.0..300.0),
+            noise: if rng.random_range(0..8) == 0 {
+                0.0
+            } else {
+                rng.random_range(0.0..300.0)
+            },
+        }
+    }
+
+    /// `len` random pixels.
+    #[cfg(target_arch = "x86_64")]
+    fn random_pixels(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| rng.random_range(0..256u32) as u8)
+            .collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_noise_matches_portable_on_every_short_length() {
+        // Lengths 0..=67 leave every remainder of the four-pixel step,
+        // with random pixels, corruptions and counter states (states near
+        // `u64::MAX` wrap in the first steps).
+        let Some(simd) = avx2() else { return };
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for len in 0..=67usize {
+            for case in 0..24u64 {
+                let c = random_corruption(&mut rng);
+                let state = if case % 3 == 0 {
+                    u64::MAX - rng.random_range(0..64u64)
+                } else {
+                    rng.random()
+                };
+                let src = random_pixels(&mut rng, len);
+                assert_kernels_agree(simd, c, &src, state);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_noise_matches_portable_on_camera_frames() {
+        // A 640x480 frame of random pixels and one of flat 0 and 255
+        // stripes, under the canned profiles' peak ramps and random
+        // corruptions, including a noise that saturates both clamps.
+        let Some(simd) = avx2() else { return };
+        let mut rng = StdRng::seed_from_u64(0xF4A3);
+        let noisy = random_pixels(&mut rng, 640 * 480);
+        let stripes: Vec<u8> = (0..480).flat_map(|y| [255 * (y % 2) as u8; 640]).collect();
+        let mut corruptions: Vec<Corruption> = [
+            (0.55, 36.0, 6.0),
+            (0.4, 48.0, 10.0),
+            (1.0, 0.0, 5.0),
+            (0.7, 200.0, 255.0),
+            (0.8, 20.0, 0.0),
+        ]
+        .map(|(gain, bias, noise)| Corruption { gain, bias, noise })
+        .into();
+        corruptions.extend((0..3).map(|_| random_corruption(&mut rng)));
+        for c in corruptions {
+            for src in [&noisy, &stripes] {
+                assert_kernels_agree(simd, c, src, rng.random());
+                assert_kernels_agree(simd, c, src, u64::MAX - 2);
+            }
+        }
+    }
+
+    /// The counter state whose draw is `z`: SplitMix64's output function
+    /// is a bijection, undone step by step.
+    fn unmix(z: u64) -> u64 {
+        /// `x` from `x ^ (x >> s)`: each pass fixes `s` more top bits.
+        fn unshift(y: u64, s: u32) -> u64 {
+            let mut x = y;
+            for _ in 0..64 / s {
+                x = y ^ (x >> s);
+            }
+            x
+        }
+        /// The inverse of odd `a` mod 2⁶⁴: each Newton step doubles the
+        /// correct low bits, of which `a` itself has three.
+        fn inverse(a: u64) -> u64 {
+            let mut x = a;
+            for _ in 0..5 {
+                x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+            }
+            x
+        }
+        let z = unshift(z, 31).wrapping_mul(inverse(MIX_MUL[1]));
+        let z = unshift(z, 27).wrapping_mul(inverse(MIX_MUL[0]));
+        unshift(z, 30)
+    }
+
+    #[test]
+    fn simd_noise_keeps_the_seed_operation_order() {
+        // Pixels whose byte depends on the order of operations, where
+        // random inputs almost never land. Case one takes the draw
+        // u = 1/4 (z = 2⁶²), so n = noise·(2u − 1) = −2⁻⁵⁴, and ties to
+        // even decide: the seed's `((v·gain) + bias) + n` gives 1, adding
+        // `n` first gives 1 − 2⁻⁵² or 1 − 2⁻⁵³. Case two needs `v·gain`
+        // rounded before `bias` is added: a fused multiply-add lands
+        // below 1. On a host without AVX2 both runs take the portable
+        // kernel.
+        let h = f64::EPSILON / 2.0;
+        let cases = [(1, (1.0 - h, h / 2.0, h)), (3, (1.0 / 3.0, -h / 2.0, 0.0))];
+        let z = 1u64 << 62;
+        assert_eq!(unit(z), 0.25);
+        assert_eq!(mix(unmix(z)), z);
+        let mut beaten = [false; 3];
+        for (v, (gain, bias, noise)) in cases {
+            let c = Corruption { gain, bias, noise };
+            let (x, n) = (f64::from(v), noise * (unit(z) * 2.0 - 1.0));
+            let byte = |sum: f64| sum.clamp(0.0, 255.0) as u8;
+            let want = byte(x * gain + bias + n);
+            let others = [
+                byte(x * gain + n + bias),
+                byte(x * gain + (bias + n)),
+                byte(x.mul_add(gain, bias) + n),
+            ];
+            for (beat, other) in beaten.iter_mut().zip(others) {
+                *beat |= other != want;
+            }
+            // The crafted draw at each of nine pixels: every lane of two
+            // vector steps, then the scalar tail.
+            let src = [v; 9];
+            for j in 0..src.len() {
+                let state = unmix(z).wrapping_sub((j as u64 + 1).wrapping_mul(GAMMA));
+                for isa in [Isa::Portable, Isa::detect()] {
+                    let mut dst = [0xA5; 9];
+                    corrupt_with(isa, c, &src, &mut dst, state);
+                    assert_eq!(dst[j], want, "{isa:?} {c:?} pixel {j}");
+                }
+            }
+        }
+        assert_eq!(beaten, [true; 3], "each other order changes a byte");
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Runtime selection of the SIMD kernels.
 //!
-//! The Gaussian blur of this crate and the frontend's KLT DC/LSS phases
-//! and rotated-BRIEF tests each have a portable implementation and, on
-//! x86-64, an AVX2 one. [`Isa::detect`] picks the AVX2 kernels when the
-//! running CPU reports the feature. Both produce bit-identical results,
-//! so the choice changes speed only; this module is the one place that
-//! asks the CPU.
+//! The Gaussian blur of this crate, the frontend's KLT DC/LSS phases
+//! and rotated-BRIEF tests, and the fault injector's pixel noise each
+//! have a portable implementation and, on x86-64, an AVX2 one.
+//! [`Isa::detect`] picks the AVX2 kernels when the running CPU reports
+//! the feature. Both produce bit-identical results, so the choice
+//! changes speed only; this module is the one place that asks the CPU.
 
 /// Which implementation of the SIMD kernels runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
     /// Portable Rust: the separable filter's tap-outer loops, the
-    /// lane-sequential KLT batch and the scalar ORB tests.
+    /// lane-sequential KLT batch, the scalar ORB tests and the fault
+    /// injector's one-pixel-at-a-time noise loop.
     Portable,
     /// The `std::arch` AVX2 kernels.
     #[cfg(target_arch = "x86_64")]

@@ -229,11 +229,17 @@ mod json {
                     *pos += 1;
                 }
                 _ => {
-                    // Advance over one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf8")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    *pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a character boundary
+                    // of the `&str` input, and each byte is checked once.
+                    let run = b[*pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(b.len() - *pos);
+                    let text =
+                        std::str::from_utf8(&b[*pos..*pos + run]).map_err(|_| "invalid utf8")?;
+                    out.push_str(text);
+                    *pos += run;
                 }
             }
         }
@@ -346,6 +352,68 @@ mod tests {
         let summary = validate_chrome_trace(&text).expect("valid trace");
         assert_eq!(summary.events, 0);
         assert_eq!(summary.frame_spans, 0);
+    }
+
+    #[test]
+    fn validator_decodes_multibyte_names_and_every_escape() {
+        // Multi-byte UTF-8 in exported names (two-, three- and four-byte
+        // scalars) round-trips the validator.
+        let mut named = spans();
+        named[0].kernel = "détection_κλτ_→_🛰";
+        named.push(Span {
+            kernel: "frame",
+            frame_idx: 1,
+            start_ns: 9_000,
+            ..named[1]
+        });
+        let summary = validate_chrome_trace(&chrome_trace_json(&named)).expect("valid trace");
+        assert_eq!(summary.events, 3);
+        assert_eq!(summary.frame_spans, 2);
+        // Every escape the grammar has, between multi-byte runs; the
+        // second name decodes to "frame" and counts as a frame span.
+        let text = r#"{"traceEvents":[
+            {"name":"é\"\\\/\b\f\n\r\t\u00e9\u2192ø","ph":"X","ts":1.0,"dur":1.0},
+            {"name":"fr\u0061me","ph":"X","ts":2.0,"dur":1.0,"args":{"k":"🛰\n"}}]}"#;
+        let summary = validate_chrome_trace(text).expect("valid trace");
+        assert_eq!((summary.events, summary.frame_spans), (2, 1));
+        assert_eq!(
+            json::parse(r#""a\"b\\c\/d\be\ff\ng\rh\ti\u00e9j→ø""#),
+            Ok(json::Value::String(
+                "a\"b\\c/d\u{8}e\u{c}f\ng\rh\tiéj→ø".into()
+            ))
+        );
+        // A string that never closes is still rejected, after a multi-byte
+        // run and after an escape.
+        for broken in [r#"{"traceEvents":["é→"#, r#"{"traceEvents":["a\n"#, r#""\"#] {
+            let err = validate_chrome_trace(broken).unwrap_err();
+            assert!(err.contains("unterminated"), "{broken}: {err}");
+        }
+    }
+
+    #[test]
+    fn validator_is_linear_in_the_trace() {
+        // 20 000 spans, a traced benchmark run's size: validation that
+        // rescanned the rest of the trace per character took minutes here.
+        let spans: Vec<Span> = (0..20_000u64)
+            .map(|i| {
+                let (scope, kernel) = if i % 10 == 0 {
+                    (SpanScope::Frame, "frame")
+                } else {
+                    (SpanScope::Kernel, "detect_fast")
+                };
+                Span {
+                    scope,
+                    kernel,
+                    frame_idx: i / 10,
+                    start_ns: 1_000 * i,
+                    dur_ns: 500,
+                    track: (i % 4) as u32,
+                }
+            })
+            .collect();
+        let summary = validate_chrome_trace(&chrome_trace_json(&spans)).expect("valid trace");
+        assert_eq!(summary.events, 20_000);
+        assert_eq!(summary.frame_spans, 2_000);
     }
 
     #[test]
