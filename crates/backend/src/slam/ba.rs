@@ -259,6 +259,12 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
         let mut h_ll: Vec<Mat3> = vec![Mat3::zero(); n_lm];
         let mut g_l: Vec<Vec3> = vec![Vec3::zero(); n_lm];
         h_pl.fill(None);
+        // Rᵀ of each pose, once per linearization, not per observation.
+        let rot_ts: Vec<Mat3> = p
+            .poses
+            .iter()
+            .map(|pose| pose.rotation.conjugate().to_matrix())
+            .collect();
 
         for (o, &pair) in p.observations.iter().zip(&coupling.of_obs) {
             let pose = p.poses[o.kf];
@@ -276,9 +282,9 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
             let w = if e <= cfg.huber_px { 1.0 } else { cfg.huber_px / e };
             let r = [raw_r[0], raw_r[1]];
             let j_pi = p.camera.projection_jacobian(p_cam);
-            let rot_t = pose.rotation.conjugate().to_matrix();
+            let rot_t = &rot_ts[o.kf];
             // ∂h/∂landmark = Jπ·Rᵀ; residual jacobian J_l = −that.
-            let jh_l = mul2x3(&j_pi, &rot_t);
+            let jh_l = mul2x3(&j_pi, rot_t);
             // ∂h/∂δθ = Jπ·Rᵀ·hat(l − t) ; ∂h/∂δp = −Jπ·Rᵀ.
             let jh_th = mul2x3_m(&jh_l, &Mat3::hat(lm - pose.translation));
             // Landmark gradient/Hessian (J_l = −jh_l).
@@ -338,7 +344,6 @@ pub fn solve_lm(p: &mut BaProblem, cfg: &LmConfig, prior: Option<&PosePrior>) ->
                     // ∂d/∂p_cam = (0, 0, −fx·B/z²); chain through
                     // p_cam = Rᵀ(l − t).
                     let dd_dz = -p.camera.fx * p.baseline / (p_cam.z * p_cam.z);
-                    let rot_t = pose.rotation.conjugate().to_matrix();
                     // ∂h_d/∂landmark = dd_dz · (Rᵀ row 2).
                     let jl_d = [
                         dd_dz * rot_t.m[2][0],

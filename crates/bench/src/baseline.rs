@@ -1,19 +1,25 @@
 //! Seed (pre-scratch) implementations of the frontend hot-path kernels,
-//! the seed bundle-adjustment solve of the SLAM backend, and the seed
-//! sensor-fault process.
+//! the seed bundle-adjustment solve and SLAM backend, the seed dense
+//! kernels of the filter update, and the seed sensor-fault process.
 //!
 //! These are the per-frame-allocating, clamp-every-pixel versions the
 //! optimized `*_into` kernels replaced, the solve whose Schur
 //! reduction scanned every coupling block for every other one
-//! ([`solve_lm_baseline`]), and the fault process whose pixel noise drew
-//! one generator output after another ([`BaselineFaultProcess`]). They
-//! are preserved here for two jobs:
+//! ([`solve_lm_baseline`]), the SLAM backend that built its loop-closure
+//! index as soon as it had a training set ([`SlamBaseline`]), the matrix
+//! product, Cholesky factorization and solve that ran one scalar chain
+//! at a time ([`matmul_baseline`] and its neighbours), and the fault
+//! process whose pixel noise drew one generator output after another
+//! ([`BaselineFaultProcess`]). They are preserved here for two jobs:
 //!
 //! 1. **Golden reference** — the bit-identity tests assert the optimized
 //!    kernels (and the whole [`Frontend`](eudoxus_frontend::Frontend)
 //!    with its pyramid cache) produce byte-identical output to this code,
 //!    that [`solve_lm`](eudoxus_backend::slam::solve_lm) returns the
-//!    seed solve's poses, landmarks and statistics bit for bit, and that
+//!    seed solve's poses, landmarks and statistics bit for bit, that
+//!    [`Slam`](eudoxus_backend::Slam) returns the seed backend's poses,
+//!    loop closures and map, that the dense kernels of
+//!    [`eudoxus_math`] return the seed loops' entries and errors, and that
 //!    [`FaultProcess`](eudoxus_faults::FaultProcess) emits the seed
 //!    process's events and counters bit for bit.
 //! 2. **Before/after measurement** — the `throughput` binary and the
@@ -25,10 +31,17 @@
 //! optimize it, or the baseline stops being one.
 
 mod ba;
+mod dense;
 mod faults;
+mod slam;
 
 pub use ba::solve_lm_baseline;
+pub use dense::{
+    backward_substitute_baseline, cholesky_factor_baseline, cholesky_solve_matrix_baseline,
+    forward_substitute_baseline, matmul_baseline,
+};
 pub use faults::BaselineFaultProcess;
+pub use slam::SlamBaseline;
 
 use eudoxus_frontend::fast::CIRCLE;
 use eudoxus_frontend::{

@@ -18,9 +18,10 @@
 //! `cargo run --release -p eudoxus-bench --bin <name>`.
 //!
 //! Two support modules back the performance trajectory:
-//! [`baseline`] preserves the seed frontend kernels and the seed
-//! bundle-adjustment solve (the before of every before/after comparison,
-//! and the golden references), and [`alloc_track`] counts heap allocations
+//! [`baseline`] preserves the seed frontend kernels, the seed
+//! bundle-adjustment solve, SLAM backend and dense kernels (the before of
+//! every before/after comparison, and the golden references), and
+//! [`alloc_track`] counts heap allocations
 //! (install via the `count-alloc` feature). The `throughput` binary ties
 //! them together and writes `BENCH_throughput.json`.
 

@@ -7,10 +7,87 @@
 //! implementation here does the same by only touching the lower triangle.
 
 use crate::error::MathError;
-use crate::matrix::Matrix;
-use crate::solve::{backward_substitute, forward_substitute};
+use crate::matrix::{run_chains, Chains, Matrix};
+use crate::solve::{backward_substitute, forward_substitute, PIVOT_EPS};
 use crate::vector::Vector;
 use crate::Result;
+
+/// Blocks of the entries below pivot `j` of `L`, written into row `j` of
+/// `lt` (`Lᵀ`), given its rows before `j` and the pivot `d = l_jj`.
+struct FactorRows<'a> {
+    a: &'a Matrix,
+    lt: &'a mut Matrix,
+    j: usize,
+    d: f64,
+}
+
+impl Chains for FactorRows<'_> {
+    fn block<const W: usize>(&mut self, r0: usize) {
+        let (n, j) = (self.a.rows(), self.j);
+        let i0 = j + 1 + r0;
+        let mut acc: [f64; W] = std::array::from_fn(|r| self.a[(i0 + r, j)]);
+        for k in 0..j {
+            let ljk = self.lt[(k, j)];
+            let lik: &[f64; W] = self.lt.as_slice()[k * n + i0..][..W]
+                .try_into()
+                .expect("W rows");
+            for (s, &l) in acc.iter_mut().zip(lik) {
+                *s -= l * ljk;
+            }
+        }
+        for (out, s) in self.lt.as_mut_slice()[j * n + i0..][..W]
+            .iter_mut()
+            .zip(acc)
+        {
+            *out = s / self.d;
+        }
+    }
+}
+
+/// Blocks of columns of `X` in `L·Lᵀ·X = B`.
+struct SolveCols<'a> {
+    l: &'a Matrix,
+    l_t: &'a Matrix,
+    b: &'a Matrix,
+    x: &'a mut Matrix,
+}
+
+impl Chains for SolveCols<'_> {
+    /// Forward substitution against `L` from `B` into `X`, then backward
+    /// substitution against `Lᵀ` in place.
+    fn block<const W: usize>(&mut self, j0: usize) {
+        let n = self.l.rows();
+        let m = self.b.cols();
+        let cols = |i: usize| i * m + j0..i * m + j0 + W;
+        let x = self.x.as_mut_slice();
+        for i in 0..n {
+            let mut acc: [f64; W] = self.b.as_slice()[cols(i)].try_into().expect("W columns");
+            for (j, &l) in self.l.row(i)[..i].iter().enumerate() {
+                let y: &[f64; W] = x[cols(j)].try_into().expect("W columns");
+                for (s, &y) in acc.iter_mut().zip(y) {
+                    *s -= l * y;
+                }
+            }
+            let d = self.l[(i, i)];
+            for (out, s) in x[cols(i)].iter_mut().zip(acc) {
+                *out = s / d;
+            }
+        }
+        for i in (0..n).rev() {
+            let mut acc: [f64; W] = x[cols(i)].try_into().expect("W columns");
+            for (j, &u) in self.l_t.row(i).iter().enumerate().skip(i + 1) {
+                let v: &[f64; W] = x[cols(j)].try_into().expect("W columns");
+                for (s, &v) in acc.iter_mut().zip(v) {
+                    *s -= u * v;
+                }
+            }
+            let d = self.l_t[(i, i)];
+            for (out, s) in x[cols(i)].iter_mut().zip(acc) {
+                *out = s / d;
+            }
+        }
+    }
+}
 
 /// The lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.
 ///
@@ -36,6 +113,11 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read, so callers may pass matrices
     /// whose upper triangle carries numerical noise.
     ///
+    /// Each entry is `(a_ij − l_i0·l_j0 − l_i1·l_j1 − …) / l_jj`, or the
+    /// square root of that sum on the diagonal, with `k` ascending. The
+    /// factor is built column by column into `Lᵀ`, so the entries below
+    /// one pivot run as independent chains over contiguous memory.
+    ///
     /// # Errors
     ///
     /// [`MathError::NotSquare`] for rectangular input and
@@ -45,24 +127,29 @@ impl Cholesky {
             return Err(MathError::NotSquare { shape: a.shape() });
         }
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if s <= 0.0 || !s.is_finite() {
-                        return Err(MathError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = s.sqrt();
-                } else {
-                    l[(i, j)] = s / l[(j, j)];
-                }
+        // Row `k` of `lt` is column `k` of `L`.
+        let mut lt = Matrix::zeros(n, n);
+        for j in 0..n {
+            let mut s = a[(j, j)];
+            for k in 0..j {
+                s -= lt[(k, j)] * lt[(k, j)];
             }
+            if s <= 0.0 || !s.is_finite() {
+                return Err(MathError::NotPositiveDefinite);
+            }
+            let d = s.sqrt();
+            lt[(j, j)] = d;
+            run_chains(
+                n - j - 1,
+                &mut FactorRows {
+                    a,
+                    lt: &mut lt,
+                    j,
+                    d,
+                },
+            );
         }
-        Ok(Cholesky { l })
+        Ok(Cholesky { l: lt.transpose() })
     }
 
     /// The lower-triangular factor `L`.
@@ -87,21 +174,22 @@ impl Cholesky {
     /// [`MathError::DimensionMismatch`] when `b.len()` differs from the
     /// factored dimension.
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
-        self.solve_with(&self.l.transpose(), b)
-    }
-
-    /// [`solve`](Self::solve) against a precomputed `Lᵀ`.
-    fn solve_with(&self, l_t: &Matrix, b: &Vector) -> Result<Vector> {
         let y = forward_substitute(&self.l, b)?;
-        backward_substitute(l_t, &y)
+        backward_substitute(&self.l.transpose(), &y)
     }
 
-    /// Solves `A X = B` column-by-column, transposing `L` once for all
-    /// columns.
+    /// Solves `A X = B`.
+    ///
+    /// Every column gets the two substitutions of [`Cholesky::solve`],
+    /// with each entry's terms in the same order, but the columns run in
+    /// blocks, one independent accumulator chain per column, against one
+    /// transpose of `L`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Cholesky::solve`].
+    /// [`MathError::DimensionMismatch`] when `b.rows()` differs from the
+    /// factored dimension, and [`MathError::Singular`] when `B` has
+    /// columns and a pivot is below [`PIVOT_EPS`].
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         if b.rows() != self.dim() {
             return Err(MathError::DimensionMismatch {
@@ -109,15 +197,21 @@ impl Cholesky {
                 right: b.shape(),
             });
         }
-        let l_t = self.l.transpose();
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let x = self.solve_with(&l_t, &b.col(j))?;
-            for i in 0..b.rows() {
-                out[(i, j)] = x[i];
-            }
+        let m = b.cols();
+        if m > 0 && (0..self.dim()).any(|i| self.l[(i, i)].abs() < PIVOT_EPS) {
+            return Err(MathError::Singular);
         }
-        Ok(out)
+        let mut x = Matrix::zeros(b.rows(), m);
+        run_chains(
+            m,
+            &mut SolveCols {
+                l: &self.l,
+                l_t: &self.l.transpose(),
+                b,
+                x: &mut x,
+            },
+        );
+        Ok(x)
     }
 
     /// Inverse of the factored matrix (solves against the identity).

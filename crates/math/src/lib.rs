@@ -9,6 +9,29 @@
 //! SLAM / registration backends, as well as the accelerator's functional
 //! model, is expressed in terms of this crate.
 //!
+//! # Floating-point order
+//!
+//! The dense kernels of the filter update fix the order in which each
+//! output entry takes its terms, so results are bit-reproducible and
+//! independent of how the loops are blocked:
+//!
+//! - [`Matrix::matmul`]: `c_ij = 0.0 + a_i0·b_0j + a_i1·b_1j + …`, with
+//!   `k` ascending and every `k` where `a_ik == 0.0` skipped;
+//! - [`Cholesky::factor`]: `l_ij = (a_ij − l_i0·l_j0 − l_i1·l_j1 − …) / l_jj`
+//!   below the diagonal and `l_jj = √(a_jj − l_j0² − l_j1² − …)` on it,
+//!   with `k` ascending;
+//! - [`solve::forward_substitute`] and [`solve::backward_substitute`]:
+//!   `x_i = (b_i − t_ij·x_j − …) / t_ii` over the solved `j`, taken in
+//!   ascending `j` in both;
+//! - [`Cholesky::solve_matrix`]: each column gets exactly the forward and
+//!   backward substitutions of [`Cholesky::solve`].
+//!
+//! Within that order the kernels run independent accumulator chains side
+//! by side: blocks of output columns for the product and the solves, the
+//! rows below a pivot for the factorization. The seed loops they replaced
+//! are kept in `eudoxus_bench::baseline`, whose golden test holds the
+//! kernels to them bit for bit.
+//!
 //! # Example
 //!
 //! ```

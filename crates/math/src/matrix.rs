@@ -16,6 +16,64 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// specify one. 32×32 `f64` blocks (8 KiB) fit comfortably in L1.
 pub const DEFAULT_BLOCK: usize = 32;
 
+/// A dense kernel built from independent accumulator chains, one per
+/// output column (or row), run a block of `W` chains at a time.
+pub(crate) trait Chains {
+    /// Runs chains `start..start + W`.
+    fn block<const W: usize>(&mut self, start: usize);
+}
+
+/// Runs chains `0..n`: in blocks of 16 when there are at least 16, else
+/// of 4, else of 2, else one. When the block width does not divide `n`,
+/// the last block ends at `n` and overlaps the one before it. A chain's
+/// result depends only on its own index, so an overlapped chain computes
+/// the same value twice.
+pub(crate) fn run_chains(n: usize, kernel: &mut impl Chains) {
+    fn cover<const W: usize>(n: usize, kernel: &mut impl Chains) {
+        let mut start = 0;
+        while start + W < n {
+            kernel.block::<W>(start);
+            start += W;
+        }
+        kernel.block::<W>(n - W);
+    }
+    match n {
+        0 => {}
+        1 => kernel.block::<1>(0),
+        2..=3 => cover::<2>(n, kernel),
+        4..=15 => cover::<4>(n, kernel),
+        _ => cover::<16>(n, kernel),
+    }
+}
+
+/// Blocks of output columns of `a * b`, written into `out`.
+struct MatmulCols<'a> {
+    a: &'a Matrix,
+    b: &'a Matrix,
+    out: &'a mut Matrix,
+}
+
+impl Chains for MatmulCols<'_> {
+    fn block<const W: usize>(&mut self, j0: usize) {
+        let n = self.b.cols;
+        for i in 0..self.a.rows {
+            let mut acc = [0.0f64; W];
+            for (k, &a) in self.a.row(i).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let r: &[f64; W] = self.b.data[k * n + j0..][..W]
+                    .try_into()
+                    .expect("W columns");
+                for (o, &r) in acc.iter_mut().zip(r) {
+                    *o += a * r;
+                }
+            }
+            self.out.data[i * n + j0..][..W].copy_from_slice(&acc);
+        }
+    }
+}
+
 /// A dense, row-major, `f64` matrix.
 ///
 /// # Example
@@ -178,7 +236,14 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * rhs` using straightforward i-k-j loops.
+    /// Matrix product `self * rhs`.
+    ///
+    /// Each output entry is `0.0 + a_i0·b_0j + a_i1·b_1j + …`, summed in
+    /// ascending `k` and skipping every `k` with `a_ik == 0.0` (the i-k-j
+    /// loop's order). The kernel keeps a block of an output row in
+    /// registers across `k`, one accumulator per column, and walks the
+    /// rows of `self` inside each block of columns, so the block's stripe
+    /// of `rhs` stays in cache.
     ///
     /// # Errors
     ///
@@ -191,19 +256,14 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = rhs.row(k);
-                let orow = out.row_mut(i);
-                for (o, &r) in orow.iter_mut().zip(rrow) {
-                    *o += a * r;
-                }
-            }
-        }
+        run_chains(
+            rhs.cols,
+            &mut MatmulCols {
+                a: self,
+                b: rhs,
+                out: &mut out,
+            },
+        );
         Ok(out)
     }
 
