@@ -18,6 +18,10 @@
 //!   Kernels that sent border and inexact-tap lanes to scalar code ran
 //!   692 of these frames' 8367 DC lanes (8.3 %) and 15 854 of their
 //!   610 455 LSS lane rows (2.6 %) there.
+//! * Row loads: on AVX2 hosts at least three quarters of the DC grid rows
+//!   and of the LSS window rows must take the row-load sampler, not the
+//!   clamped one. A kernel that gathered every row (as the tap-pair
+//!   sampler did) would give the same bits, only slower.
 
 use eudoxus_frontend::{track_pyramidal_into, Frontend, FrontendConfig, KltScratch, KLT_LANES};
 use eudoxus_image::isa::Isa;
@@ -98,5 +102,36 @@ fn klt_vector_coverage_on_drone_frames() {
         (dc_lanes, lss_rows),
         (0, 0),
         "lanes with finite coordinates fell back to the scalar DC or LSS rows"
+    );
+}
+
+#[test]
+fn klt_row_load_coverage_on_drone_frames() {
+    if Isa::detect() == Isa::Portable {
+        eprintln!("no AVX2 kernels on this host: every lane runs the portable batch, row loads not checked");
+        return;
+    }
+    let w = 2 * FrontendConfig::default().klt.window_radius as u64 + 1;
+    let (mut dc_rows, mut dc_clamped) = (0u64, 0u64);
+    let (mut lss_rows, mut lss_clamped) = (0u64, 0u64);
+    each_drone_frame_pair(|scratch| {
+        dc_rows += (w + 2) * scratch.dc_vector_batches();
+        dc_clamped += scratch.clamped_dc_rows();
+        lss_rows += w * scratch.lss_vector_iterations();
+        lss_clamped += scratch.clamped_lss_rows();
+    });
+    let share = |clamped: u64, rows: u64| 100.0 * (rows - clamped) as f64 / rows as f64;
+    eprintln!(
+        "row loads: {:.1} % of {dc_rows} DC grid rows, {:.1} % of {lss_rows} LSS window rows",
+        share(dc_clamped, dc_rows),
+        share(lss_clamped, lss_rows)
+    );
+    assert!(
+        4 * dc_clamped <= dc_rows,
+        "{dc_clamped} of {dc_rows} DC grid rows ran on the clamped sampler"
+    );
+    assert!(
+        4 * lss_clamped <= lss_rows,
+        "{lss_clamped} of {lss_rows} LSS window rows ran on the clamped sampler"
     );
 }

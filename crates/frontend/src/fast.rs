@@ -76,6 +76,12 @@ impl Default for FastConfig {
 /// so this evaluates the full wrap-around segment test directly — for a
 /// pixel that passed the pre-test, the seed code reached the same point
 /// with the same state.
+///
+/// The segment test runs on bit masks: bit `k` of `bright` (`dark`) is
+/// set when ring pixel `k` is brighter than `c + t` (darker than
+/// `c − t`), and [`has_arc`] finds a wrap-around run of [`ARC`] set bits
+/// without a branch per pixel. It decides exactly as the seed's run scan
+/// (checked on all 2¹⁶ masks by a unit test).
 fn corner_response(img: &GrayImage, x: u32, y: u32, t: u8) -> f32 {
     debug_assert!(
         x >= 3 && y >= 3 && x + 3 < img.width() && y + 3 < img.height(),
@@ -89,37 +95,35 @@ fn corner_response(img: &GrayImage, x: u32, y: u32, t: u8) -> f32 {
     let c = tap(0, 0);
     let t = t as i32;
 
-    // Full segment test with wrap-around (scan 16 + ARC positions).
     let mut ring = [0i32; 16];
     for (slot, &(dx, dy)) in ring.iter_mut().zip(CIRCLE.iter()) {
         *slot = tap(dx, dy);
     }
-    let mut bright_run = 0usize;
-    let mut dark_run = 0usize;
-    let mut is_corner = false;
-    for k in 0..(16 + ARC) {
-        let p = ring[k % 16];
-        if p > c + t {
-            bright_run += 1;
-            dark_run = 0;
-        } else if p < c - t {
-            dark_run += 1;
-            bright_run = 0;
-        } else {
-            bright_run = 0;
-            dark_run = 0;
-        }
-        if bright_run >= ARC || dark_run >= ARC {
-            is_corner = true;
-            break;
-        }
+    let (mut bright, mut dark) = (0u16, 0u16);
+    for (k, &p) in ring.iter().enumerate() {
+        bright |= u16::from(p > c + t) << k;
+        dark |= u16::from(p < c - t) << k;
     }
-    if !is_corner {
+    if !(has_arc(bright) || has_arc(dark)) {
         return 0.0;
     }
     ring.iter()
         .map(|&p| ((p - c).abs() - t).max(0))
         .sum::<i32>() as f32
+}
+
+/// Whether the 16-pixel ring `mask` (bit `k` is ring pixel `k`) holds a
+/// run of at least [`ARC`] set bits, wrapping around. Doubling the mask
+/// to 32 bits turns every wrap-around run into a plain one; four
+/// shift-ANDs then leave bit `i` set exactly where bits `i ..= i + 8` are
+/// all set (runs of 2, 4, 8, then 9).
+fn has_arc(mask: u16) -> bool {
+    const _: () = assert!(ARC == 9, "the shift-AND ladder tests runs of 9");
+    let m = u32::from(mask) * 0x1_0001;
+    let two = m & (m >> 1);
+    let four = two & (two >> 2);
+    let eight = four & (four >> 4);
+    eight & (m >> 8) != 0
 }
 
 /// Reusable workspaces for [`detect_fast_into`]: the full-image response
@@ -494,6 +498,54 @@ mod tests {
                     let dark = compass.iter().filter(|p| i32::from(p[i]) < c - t).count();
                     assert_eq!(mask[i], u8::from(bright >= 2 || dark >= 2), "n={n} i={i}");
                 }
+            }
+        }
+    }
+
+    /// The seed's segment test: a run scan over `16 + ARC` positions of
+    /// the ring, wrapping around.
+    fn seed_segment_test(ring: &[i32; 16], c: i32, t: i32) -> bool {
+        let (mut bright_run, mut dark_run) = (0usize, 0usize);
+        for k in 0..(16 + ARC) {
+            let p = ring[k % 16];
+            if p > c + t {
+                bright_run += 1;
+                dark_run = 0;
+            } else if p < c - t {
+                dark_run += 1;
+                bright_run = 0;
+            } else {
+                bright_run = 0;
+                dark_run = 0;
+            }
+            if bright_run >= ARC || dark_run >= ARC {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn arc_masks_match_seed_run_scan() {
+        // Every ring pattern of brighter pixels alone, darker alone, and
+        // brighter against darker (complementary), with the others at
+        // the centre value: the bit-mask test decides as the seed scan.
+        let (c, t) = (100, 20);
+        let (hi, lo, mid) = (c + t + 1, c - t - 1, c);
+        for mask in 0..=u16::MAX {
+            let bit = |k: usize| mask & (1 << k) != 0;
+            for (on, off) in [(hi, mid), (lo, mid), (hi, lo)] {
+                let ring: [i32; 16] = std::array::from_fn(|k| if bit(k) { on } else { off });
+                let (mut bright, mut dark) = (0u16, 0u16);
+                for (k, &p) in ring.iter().enumerate() {
+                    bright |= u16::from(p > c + t) << k;
+                    dark |= u16::from(p < c - t) << k;
+                }
+                assert_eq!(
+                    has_arc(bright) || has_arc(dark),
+                    seed_segment_test(&ring, c, t),
+                    "mask {mask:016b}, pixels {on}/{off}"
+                );
             }
         }
     }

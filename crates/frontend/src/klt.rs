@@ -28,29 +28,48 @@
 //! solve is **bit-identical** to solving each track alone, whichever lane
 //! and neighbors a track gets.
 //!
+//! **Visit order**: the tracks do not stream in input order. Once per
+//! call the solve sorts a permutation of the input points, held in
+//! [`KltScratch`], by 32-pixel row band (`floor(y / 32)` at full
+//! resolution), then `x`, then input index, with non-finite positions
+//! last, and every level stages its tracks in that order. The lanes of a
+//! batch then sample neighbouring windows, which share image rows in the
+//! core's caches, as the accelerator's line buffers share them. The sort
+//! is unstable but its key is a total order, so it allocates nothing and
+//! gives one permutation per input. Outcomes,
+//! [`KltScratch::iteration_counts`] and the per-track state stay indexed
+//! by input position, and a track's arithmetic does not depend on its
+//! turn, so the order changes no output bit.
+//!
 //! **Kernels**: on x86-64 hosts that report AVX2 (checked at run time),
 //! the DC and LSS phases run `std::arch` kernels in which one 256-bit
-//! vector holds the eight lanes: masked gathers sample every lane's
-//! window at once. Every lane runs the scalar operation sequence — `mul`
-//! and `add` stay separate (no FMA), sums keep the scalar order, and the
-//! truncating cast appears only where the interior proof gives `x ≥ 0`
-//! or after a clamp to the plane. Lanes whose window reaches past the
-//! plane, and lanes whose `±1` gradient taps the grid cannot supply, stay
-//! on the vector kernels: a clamped sampler takes the taps the scalar
-//! clamp takes. Elsewhere the portable batch runs the lanes one after
-//! another: a row-hoisted bilinear gather (`eudoxus_image::RowGather`)
-//! and a fixed-width unrolled inner loop give the core eight independent
-//! `f32` accumulator chains where the scalar solve serializes on one.
-//! Both kernel sets run under the same refill loop.
+//! vector holds the eight lanes. A DC grid row or LSS window row whose
+//! live lanes are all interior, with regular column runs, takes row
+//! loads: each lane reads its window row with contiguous 8-wide loads
+//! and one transpose per eight columns returns the samples to the
+//! lane-interleaved layout. Every other row runs a clamped sampler that
+//! gathers the taps the scalar clamp takes. Every lane runs the scalar
+//! operation sequence — `mul` and `add` stay separate (no FMA), sums
+//! keep the scalar order, and the truncating cast appears only where the
+//! interior proof gives `x ≥ 0` or after a clamp to the plane. Lanes
+//! whose window reaches past the plane, and lanes whose `±1` gradient
+//! taps the grid cannot supply, stay on the vector kernels. Elsewhere
+//! the portable batch runs the lanes one after another: a row-hoisted
+//! bilinear gather (`eudoxus_image::RowGather`) and a fixed-width
+//! unrolled inner loop give the core eight independent `f32`
+//! accumulator chains where the scalar solve serializes on one. Both
+//! kernel sets run under the same refill loop.
 //!
 //! **Masking contract**: a lane is live while it holds a track. A free
 //! lane is skipped by the portable batch's gathers and updates (so the
 //! solve performs exactly the scalar solve's sample count) and by the
-//! AVX2 gathers, but it still spends its slot in every AVX2 vector
-//! instruction. Lanes are refilled the moment their track leaves, so
-//! they idle only in each level's tail, once no track is left to stage:
-//! on rendered drone frames 97 % of LSS lane slots do useful work
-//! ([`KltScratch::lss_vector_iterations`]). A level ends when every
+//! AVX2 loads and gathers, but it still spends its slot in every AVX2
+//! vector instruction. A row-load row's last block of `m < 8` columns
+//! loads with only its first `m` elements masked in, so no lane reads
+//! past its run's last tap. Lanes are refilled the moment their track
+//! leaves, so they idle only in each level's tail, once no track is left
+//! to stage: on rendered drone frames 97 % of LSS lane slots do useful
+//! work ([`KltScratch::lss_vector_iterations`]). A level ends when every
 //! track has left the lanes.
 //!
 //! **Scalar fallback**: [`track_one`]/[`track_one_with`] run the original
@@ -63,8 +82,10 @@
 //! high, which no pyramid the frontend builds has, runs the portable
 //! batch.
 //! [`KltScratch::scalar_dc_lanes`] and [`KltScratch::scalar_lss_rows`]
-//! count what the last call sent there. The seed solve itself is
-//! preserved verbatim in `eudoxus_bench::baseline` as the golden
+//! count what the last call sent there, and
+//! [`KltScratch::clamped_dc_rows`] and [`KltScratch::clamped_lss_rows`]
+//! the AVX2 rows that ran on the clamped sampler. The seed solve itself
+//! is preserved verbatim in `eudoxus_bench::baseline` as the golden
 //! reference.
 
 use eudoxus_image::isa::Isa;
@@ -187,6 +208,11 @@ struct TrackBatch {
     /// batched form of `KltScratch::exact_x`).
     #[cfg(target_arch = "x86_64")]
     inexact: Vec<f32>,
+    /// Lane-major fractional column offsets of the AVX2 row-load sampler,
+    /// eight columns per lane vector, one run per batch (the DC grid's
+    /// columns in the staging batch, the window's in the LSS batch).
+    #[cfg(target_arch = "x86_64")]
+    fx: Vec<f32>,
 }
 
 impl TrackBatch {
@@ -270,6 +296,9 @@ pub struct KltScratch {
     stage: TrackBatch,
     /// Tracks in their LSS iterations.
     lanes: TrackBatch,
+    /// Input indices in visit order (see [`visit_order`]): the order in
+    /// which every level stages its tracks.
+    order: Vec<usize>,
     /// Per-track state of the batched solve, one entry per input point.
     tracks: Vec<TrackState>,
     /// Per-point LSS iteration counts of the most recent call (see
@@ -284,9 +313,27 @@ pub struct KltScratch {
     /// Lane rows of the most recent call run by `lss_lane_row` (see
     /// [`scalar_lss_rows`](Self::scalar_lss_rows)).
     scalar_lss_rows: u64,
+    /// DC batches staged by the most recent call (see
+    /// [`dc_vector_batches`](Self::dc_vector_batches)).
+    dc_batches: u64,
+    /// DC grid rows and LSS window rows of the most recent call served by
+    /// the AVX2 clamped sampler (see [`clamped_dc_rows`](Self::clamped_dc_rows)
+    /// and [`clamped_lss_rows`](Self::clamped_lss_rows)).
+    clamped_dc_rows: u64,
+    clamped_lss_rows: u64,
 }
 
 impl KltScratch {
+    /// Zeroes the per-call diagnostic counters.
+    fn reset_counters(&mut self) {
+        self.vector_iterations = 0;
+        self.scalar_dc_lanes = 0;
+        self.scalar_lss_rows = 0;
+        self.dc_batches = 0;
+        self.clamped_dc_rows = 0;
+        self.clamped_lss_rows = 0;
+    }
+
     /// LSS iteration counts of the most recent [`track_pyramidal_into`]
     /// (one entry per input point, in order) or [`track_one_with`] (one
     /// entry) call, summed over pyramid levels. Diagnostic surface for
@@ -327,6 +374,33 @@ impl KltScratch {
     /// with a non-finite coordinate.
     pub fn scalar_lss_rows(&self) -> u64 {
         self.scalar_lss_rows
+    }
+
+    /// Staging batches whose DC phase the most recent
+    /// [`track_pyramidal_into`] call ran (zero after [`track_one_with`]).
+    /// Each samples one `(2r + 3)`-row grid, so this times `2r + 3` is
+    /// the number of DC grid rows the call sampled.
+    pub fn dc_vector_batches(&self) -> u64 {
+        self.dc_batches
+    }
+
+    /// DC grid rows that the most recent [`track_pyramidal_into`] call
+    /// sampled on the AVX2 clamped sampler instead of row loads, because
+    /// some lane's grid row reaches past the plane or its column run is
+    /// irregular (zero on the portable path and after
+    /// [`track_one_with`]). A row counts once, whatever its lane count.
+    pub fn clamped_dc_rows(&self) -> u64 {
+        self.clamped_dc_rows
+    }
+
+    /// LSS window rows of the whole batch that the most recent
+    /// [`track_pyramidal_into`] call sampled on the AVX2 clamped sampler
+    /// instead of row loads, for the reasons of
+    /// [`clamped_dc_rows`](Self::clamped_dc_rows). Out of
+    /// `(2r + 1) ×` [`lss_vector_iterations`](Self::lss_vector_iterations)
+    /// rows.
+    pub fn clamped_lss_rows(&self) -> u64 {
+        self.clamped_lss_rows
     }
 }
 
@@ -685,12 +759,12 @@ fn lss_lane_row(
 }
 
 /// Runs the DC phase of the next [`KLT_LANES`] waiting tracks of a level
-/// into the staging batch: tracks from `*waiting` on that have not gone
-/// degenerate take the lanes in order, `isa` picks the DC kernel (the
-/// AVX2 kernel solves every lane with a finite position, `dc_window` the
-/// rest), and a track that fails the determinant test retires here,
-/// flagged degenerate, without ever taking an LSS lane. Returns `false`
-/// when no track was left to stage.
+/// into the staging batch: tracks from position `*waiting` of the visit
+/// order on that have not gone degenerate take the lanes in order, `isa`
+/// picks the DC kernel (the AVX2 kernel solves every lane with a finite
+/// position, `dc_window` the rest), and a track that fails the
+/// determinant test retires here, flagged degenerate, without ever taking
+/// an LSS lane. Returns `false` when no track was left to stage.
 fn stage_tracks(
     prev: &FloatImage,
     scale: f32,
@@ -704,8 +778,12 @@ fn stage_tracks(
         samples,
         exact_x,
         stage,
+        order,
         tracks,
         scalar_dc_lanes,
+        dc_batches,
+        #[cfg(target_arch = "x86_64")]
+        clamped_dc_rows,
         ..
     } = scratch;
     let r = cfg.window_radius;
@@ -713,8 +791,8 @@ fn stage_tracks(
     let n_px = (w * w) as f32;
     stage.live = [false; KLT_LANES];
     let mut filled = 0;
-    while filled < KLT_LANES && *waiting < points.len() {
-        let t = *waiting;
+    while filled < KLT_LANES && *waiting < order.len() {
+        let t = order[*waiting];
         *waiting += 1;
         if tracks[t].degenerate {
             continue;
@@ -729,10 +807,11 @@ fn stage_tracks(
     if filled == 0 {
         return false;
     }
+    *dc_batches += 1;
     // Free lanes keep stale positions: the DC kernel masks them out.
     let solved: u32 = match isa {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2(avx2) => avx2::dc_lanes(avx2, prev, r, stage),
+        Isa::Avx2(avx2) => avx2::dc_lanes(avx2, prev, r, stage, clamped_dc_rows),
         Isa::Portable => 0,
     };
     for l in 0..filled {
@@ -769,6 +848,36 @@ fn stage_tracks(
         stage.inv[l] = 1.0 / det;
     }
     true
+}
+
+/// Height in full-resolution pixels of the row bands of the visit order.
+const VISIT_BAND: f32 = 32.0;
+
+/// Fills `order` with the input indices of `points` in visit order: by
+/// 32-pixel row band (`floor(y / 32)`), then by `x`, then by input index,
+/// with non-finite positions last (by input index). Tracks staged in this
+/// order share image rows and columns with their lane neighbours, so the
+/// windows of one batch come from a few cache-resident rows of each plane
+/// instead of from all over it. The key is a total order, so the unstable
+/// (allocation-free) sort gives one permutation for a given input.
+fn visit_order(points: &[(f32, f32)], order: &mut Vec<usize>) {
+    let key = |i: usize| {
+        let (x, y) = points[i];
+        if x.is_finite() && y.is_finite() {
+            (false, (y / VISIT_BAND).floor() as i64, x)
+        } else {
+            (true, 0, 0.0)
+        }
+    };
+    order.clear();
+    order.extend(0..points.len());
+    order.sort_unstable_by(|&a, &b| {
+        let ((na, ba, xa), (nb, bb, xb)) = (key(a), key(b));
+        na.cmp(&nb)
+            .then(ba.cmp(&bb))
+            .then(xa.total_cmp(&xb))
+            .then(a.cmp(&b))
+    });
 }
 
 /// Moves the staged track in lane `from` of `stage` into the free LSS
@@ -811,7 +920,7 @@ fn refill_lane(
 /// Solves every live track on one pyramid level (`scale = 2^level`).
 ///
 /// The level's tracks stream through the [`KLT_LANES`] lanes of the LSS
-/// batch in input order: before each LSS iteration, every lane freed by
+/// batch in visit order: before each LSS iteration, every lane freed by
 /// convergence or by the iteration budget takes the next staged track,
 /// and the staging batch runs the DC phase of the next eight waiting
 /// tracks whenever it runs dry. A track's arithmetic is the scalar
@@ -866,6 +975,8 @@ fn solve_level(
             iterations,
             vector_iterations,
             scalar_lss_rows,
+            #[cfg(target_arch = "x86_64")]
+            clamped_lss_rows,
             ..
         } = &mut *scratch;
         if !lanes.live.contains(&true) {
@@ -875,7 +986,9 @@ fn solve_level(
         // LSS phase: one Gauss–Newton iteration of every live lane.
         let (b1, b2, res) = match isa {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2(avx2) => avx2::lss_iteration(avx2, next, lanes, w, r, scalar_lss_rows),
+            Isa::Avx2(avx2) => {
+                avx2::lss_iteration(avx2, next, lanes, w, r, scalar_lss_rows, clamped_lss_rows)
+            }
             Isa::Portable => lss_batch_iteration(next, lanes, w, r, scalar_lss_rows),
         };
         *vector_iterations += 1;
@@ -929,10 +1042,11 @@ pub fn track_pyramidal(
 
 /// Tracks points between two pre-built pyramids into a reusable output
 /// vector. Each pyramid level's tracks stream through [`KLT_LANES`]
-/// lane-parallel slots, a converged track's lane refilled with the next
-/// waiting one. Bit-identical to [`track_pyramidal`] and to tracking
-/// each point alone with [`track_one_with`]; zero heap allocations once
-/// `scratch` and `out` are warm.
+/// lane-parallel slots in spatial order (row band, then `x`), a
+/// converged track's lane refilled with the next waiting one.
+/// Bit-identical to [`track_pyramidal`] and to tracking each point alone
+/// with [`track_one_with`]; zero heap allocations once `scratch` and
+/// `out` are warm.
 pub fn track_pyramidal_into(
     prev_pyr: &Pyramid,
     next_pyr: &Pyramid,
@@ -959,13 +1073,12 @@ fn track_pyramidal_with(
     scratch.lanes.resize_windows(w);
     // Every level ends with all lanes free; a call starts that way too.
     scratch.lanes.live = [false; KLT_LANES];
+    visit_order(points, &mut scratch.order);
     scratch.tracks.clear();
     scratch.tracks.resize(points.len(), TrackState::START);
     scratch.iterations.clear();
     scratch.iterations.resize(points.len(), 0);
-    scratch.vector_iterations = 0;
-    scratch.scalar_dc_lanes = 0;
-    scratch.scalar_lss_rows = 0;
+    scratch.reset_counters();
     let levels = prev_pyr.levels().min(next_pyr.levels());
     for li in (0..levels).rev() {
         // Same scale law as `Pyramid::scale`.
@@ -1021,9 +1134,7 @@ pub fn track_one_with(
     scratch: &mut KltScratch,
 ) -> TrackOutcome {
     scratch.iterations.clear();
-    scratch.vector_iterations = 0;
-    scratch.scalar_dc_lanes = 0;
-    scratch.scalar_lss_rows = 0;
+    scratch.reset_counters();
     let levels = prev_pyr.levels().min(next_pyr.levels());
     let mut track = TrackState::START;
     let mut iters_total = 0u32;
@@ -1338,6 +1449,66 @@ mod tests {
         assert_bit_identical(&out, &reference);
         assert_eq!(scratch.iteration_counts(), &ref_iters[..]);
         assert!(ref_iters.iter().all(|&i| i == 0));
+    }
+
+    #[test]
+    fn visit_order_sorts_by_band_then_x_then_index() {
+        let pts = [
+            (5.0, 40.0),
+            (1.0, 33.0),
+            (f32::NAN, 0.0),
+            (3.0, 10.0),
+            (3.0, 10.0),
+            (-2.0, 31.9),
+            (0.0, -1.0),
+            (7.0, f32::INFINITY),
+        ];
+        let mut order = vec![99; 3];
+        visit_order(&pts, &mut order);
+        assert_eq!(order, [6, 5, 3, 4, 1, 0, 2, 7]);
+    }
+
+    /// The kernels the host runs: the portable batch, and AVX2 where the
+    /// host has it.
+    fn host_isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Portable];
+        if Isa::detect() != Isa::Portable {
+            isas.push(Isa::detect());
+        }
+        isas
+    }
+
+    #[test]
+    fn shuffled_points_give_the_same_outcomes_by_input_index() {
+        // The visit order depends on the positions alone: a permutation
+        // of the input permutes the outcomes and iteration counts and
+        // changes nothing else, on every kernel set.
+        let (prev, mut pts) = refill_fixture(0.0, 0.0);
+        let (next, _) = refill_fixture(1.6, -0.9);
+        pts.extend([(f32::NAN, 30.0), (50.0, 1e19), (40.0, 40.0), (40.0, 40.0)]);
+        let cfg = KltConfig::default();
+        let prev_pyr = Pyramid::build(prev, cfg.levels);
+        let next_pyr = Pyramid::build(next, cfg.levels);
+        let n = pts.len();
+        // `i ↦ 17·i + 5 (mod n)` is a permutation: 17 and n = 47 are
+        // coprime.
+        assert_eq!(n, 47);
+        let perm: Vec<usize> = (0..n).map(|i| (17 * i + 5) % n).collect();
+        let shuffled: Vec<(f32, f32)> = perm.iter().map(|&i| pts[i]).collect();
+        for isa in host_isas() {
+            let run = |pts: &[(f32, f32)]| {
+                let mut scratch = KltScratch::default();
+                let mut out = Vec::new();
+                track_pyramidal_with(&prev_pyr, &next_pyr, pts, &cfg, &mut scratch, &mut out, isa);
+                (out, scratch.iteration_counts().to_vec())
+            };
+            let (out, iters) = run(&pts);
+            let (out_s, iters_s) = run(&shuffled);
+            let by_input: Vec<TrackOutcome> = perm.iter().map(|&i| out[i]).collect();
+            assert_bit_identical(&out_s, &by_input);
+            let iters_by_input: Vec<u32> = perm.iter().map(|&i| iters[i]).collect();
+            assert_eq!(iters_s, iters_by_input, "{isa:?}");
+        }
     }
 
     /// A textured image with a flat (degenerate) patch, shifted by
@@ -1671,6 +1842,176 @@ mod tests {
                         (0, 0),
                         "{what}: lanes fell back to the scalar DC or rows"
                     );
+                }
+            }
+        }
+    }
+    /// Whether the column run `x_c = (x_0 + c) + gx`, `c < n`, is
+    /// irregular: some `trunc(x_c) != trunc(x_0) + c`.
+    #[cfg(target_arch = "x86_64")]
+    fn irregular_run(x0: f32, n: i64, gx: f32) -> bool {
+        let t = |c: i64| ((x0 + c as f32) + gx) as i64;
+        (0..n).any(|c| t(c) != t(0) + c)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_klt_matches_portable_on_irregular_runs() {
+        // Windows whose columns cross the binades at 64, 128, 256 and 512
+        // from positions a few odd ulps away: `px + d` rounds differently
+        // on either side of the crossing, so `trunc` skips or repeats a
+        // column and the row loads cannot serve the grid. Those rows run
+        // the clamped sampler; outcomes stay bit for bit.
+        let Some(simd) = avx2() else { return };
+        let (w, h) = (560u32, 540u32);
+        let prev = textured_sized(w, h, 0.0, 0.0);
+        let next = textured_sized(w, h, 0.7, -0.4);
+        let prev_pyr = Pyramid::build(prev, 1);
+        let next_pyr = Pyramid::build(next, 1);
+        let mut pts = Vec::new();
+        for p in [64.0f32, 128.0, 256.0, 512.0] {
+            for j in [1u32, 3, 5, 7] {
+                let below = f32::from_bits(p.to_bits() - j);
+                let above = f32::from_bits(p.to_bits() + j);
+                pts.push((below, 200.0 + j as f32));
+                pts.push((above, 300.5 - j as f32));
+            }
+        }
+        for window_radius in 1..=10 {
+            let cfg = KltConfig {
+                window_radius,
+                levels: 1,
+                ..KltConfig::default()
+            };
+            let r = window_radius + 1;
+            assert!(
+                pts.iter().any(|&(x, _)| irregular_run(x - r as f32, 2 * r + 1, 0.0)),
+                "fixture lacks irregular grid runs at radius {window_radius}"
+            );
+            let what = format!("radius {window_radius}");
+            let scratch = assert_kernels_agree(&prev_pyr, &next_pyr, &pts, &cfg, simd, &what);
+            assert_eq!((scratch.scalar_dc_lanes(), scratch.scalar_lss_rows()), (0, 0));
+            assert!(
+                scratch.clamped_dc_rows() > 0,
+                "{what}: irregular grid rows took row loads"
+            );
+        }
+    }
+
+    /// Stages `lanes` (level-0 positions, at most eight) on `prev` with the
+    /// AVX2 DC, moves each into the LSS batch with its displacement
+    /// `(gx, gy)`, runs one LSS iteration on the AVX2 and the portable
+    /// kernels, asserts both give the same bits on every lane, and returns
+    /// the rows the AVX2 kernel ran on the clamped sampler.
+    #[cfg(target_arch = "x86_64")]
+    fn lss_kernels_agree(
+        simd: Isa,
+        prev: &FloatImage,
+        next: &FloatImage,
+        lanes: &[((f32, f32), (f32, f32))],
+        window_radius: i64,
+    ) -> u64 {
+        let Isa::Avx2(avx2) = simd else {
+            unreachable!("AVX2 kernels")
+        };
+        let cfg = KltConfig {
+            window_radius,
+            ..KltConfig::default()
+        };
+        let w = (2 * window_radius + 1) as usize;
+        let pts: Vec<(f32, f32)> = lanes.iter().map(|&(p, _)| p).collect();
+        let mut scratch = KltScratch::default();
+        scratch.stage.resize_windows(w);
+        scratch.lanes.resize_windows(w);
+        scratch.order = (0..pts.len()).collect();
+        scratch.tracks = vec![TrackState::START; pts.len()];
+        let mut waiting = 0;
+        assert!(stage_tracks(prev, 1.0, &pts, &mut waiting, &mut scratch, &cfg, simd));
+        for (l, &(_, (gx, gy))) in lanes.iter().enumerate() {
+            assert!(scratch.stage.live[l], "lane {l} went degenerate");
+            refill_lane(&scratch.stage, l, &mut scratch.lanes, l, gx, gy);
+        }
+        let (mut scalar, mut clamped) = (0, 0);
+        let b = &mut scratch.lanes;
+        let got = avx2::lss_iteration(avx2, next, b, w, window_radius, &mut scalar, &mut clamped);
+        let want = lss_batch_iteration(next, &scratch.lanes, w, window_radius, &mut 0);
+        for l in 0..lanes.len() {
+            assert_eq!(
+                [got.0[l], got.1[l], got.2[l]].map(f32::to_bits),
+                [want.0[l], want.1[l], want.2[l]].map(f32::to_bits),
+                "lane {l}: {:?}",
+                lanes[l]
+            );
+        }
+        assert_eq!(scalar, 0);
+        clamped
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_lss_row_loads_match_portable_on_irregular_runs() {
+        // `gx = 1 − 1.5·2⁻¹⁸` lifts `txs + gx` to the next integer where
+        // the sum lands at 128 or above (half an ulp there is 2⁻¹⁷) and
+        // not below (half an ulp is 2⁻¹⁸): at `px = 130, r = 7` the
+        // columns' floors skip from 127 to 129, so one lane's run is
+        // irregular and every row of the batch runs the clamped sampler.
+        let Some(simd) = avx2() else { return };
+        let prev = Pyramid::build(textured_sized(300, 200, 0.0, 0.0), 1);
+        let next = Pyramid::build(textured_sized(300, 200, 0.8, 0.3), 1);
+        let (prev, next) = (prev.plane(0), next.plane(0));
+        let r = 7;
+        let skip = 1.0 - 1.5 * (2.0f32).powi(-18);
+        assert!(irregular_run(130.0 - r as f32, 2 * r + 1, skip));
+        let mut lanes: Vec<((f32, f32), (f32, f32))> = (0..KLT_LANES)
+            .map(|l| {
+                let fl = l as f32;
+                ((40.0 + 25.0 * fl, 60.0 + 9.0 * fl), (0.37 * fl - 1.2, 0.25))
+            })
+            .collect();
+        assert!(lanes
+            .iter()
+            .all(|&((x, _), (gx, _))| !irregular_run(x - r as f32, 2 * r + 1, gx)));
+        assert_eq!(lss_kernels_agree(simd, prev, next, &lanes, r), 0);
+        lanes[3] = ((130.0, 100.0), (skip, 0.25));
+        let w = 2 * r as u64 + 1;
+        assert_eq!(lss_kernels_agree(simd, prev, next, &lanes, r), w);
+        // The same lane alone, and beside free lanes.
+        assert_eq!(lss_kernels_agree(simd, prev, next, &lanes[3..5], r), w);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd_klt_row_loads_touch_the_last_row_and_column() {
+        // Grids and windows whose last `+1` taps are the plane's last
+        // column and last row, at every radius up to 10: widths that are
+        // no multiple of eight end in masked loads, and those must read
+        // the taps the scalar sampler reads and nothing past them. With
+        // no motion the LSS samples the DC's run, so every row takes row
+        // loads (the DC grid of the second set reaches past the plane).
+        let Some(simd) = avx2() else { return };
+        let (w, h) = (120u32, 100u32);
+        let pyr = Pyramid::build(textured_sized(w, h, 0.0, 0.0), 1);
+        let (wf, hf) = (w as f32, h as f32);
+        for window_radius in 1..=10 {
+            let cfg = KltConfig {
+                window_radius,
+                levels: 1,
+                ..KltConfig::default()
+            };
+            let r = window_radius as f32;
+            // The last tap of the run is at `floor(x) + 1 = end`: the DC
+            // grid reaches `r + 1` past the centre, the LSS window `r`.
+            for (reach, dc_inside) in [(r + 1.0, true), (r, false)] {
+                let mut pts = Vec::new();
+                for f in [0.0f32, 0.25, 0.5, 0.875] {
+                    pts.push((wf - 2.0 - reach + f, hf * 0.5 + 4.0 * f));
+                    pts.push((wf * 0.5 - 8.0 * f, hf - 2.0 - reach + f));
+                }
+                let what = format!("radius {window_radius}, reach {reach}");
+                let scratch = assert_kernels_agree(&pyr, &pyr, &pts, &cfg, simd, &what);
+                assert_eq!(scratch.clamped_lss_rows(), 0, "{what}");
+                if dc_inside {
+                    assert_eq!(scratch.clamped_dc_rows(), 0, "{what}");
                 }
             }
         }

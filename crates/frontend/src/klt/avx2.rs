@@ -9,26 +9,38 @@
 //! Each lane is therefore bit-identical to [`dc_window`](super::dc_window)
 //! and to the per-lane LSS rows.
 //!
-//! Two samplers serve the lanes. Where every lane of a grid or window
-//! row is provably interior, four 4-element gathers fetch the taps as
-//! 64-bit pairs ([`sample`]). Where some lane reaches past the plane,
-//! the whole grid or row runs the clamped sampler ([`sample_clamped`]):
-//! `floor`, then every tap index clamped to the plane in `f32` before the
-//! truncating cast, so each index stays in bounds at any coordinate, NaN
-//! included, and the taps are the ones the scalar clamp picks. The
-//! clamped sampler alone would give the same bits everywhere, but on
-//! interior lanes the tap pairs are faster (see "The clamped sampler" in
-//! the frontend README). The DC kernel also gathers the direct `t ± 1`
-//! gradient taps of the lanes whose `±1` exactness proof fails, column
-//! by column and row by row, and blends them in. Only a lane with a
-//! non-finite coordinate runs the scalar DC or LSS rows, so NaN and
-//! infinity payloads never meet a vector instruction. A plane one pixel
-//! wide or high is no [`Plane`]: its lanes run the scalar DC and the
-//! portable LSS batch.
+//! Two samplers serve the lanes, row by row. A DC grid row or LSS window
+//! row takes row loads ([`sample_row`]) when every live lane is interior
+//! on it (`0 ≤ y < height − 1`, its column run inside
+//! `[0, width − 1)`) and its column run is regular
+//! (`trunc(x_c) == trunc(x_0) + c` for every column `c`). `x` does not
+//! depend on the row, so the run's regularity and its fractional offsets
+//! are worked out once per DC batch and once per LSS iteration
+//! ([`row_runs`]). On such a row column `c`'s taps are the `c`-th
+//! elements of the lane's two tap rows and their `+1` shifts, so each
+//! lane loads them with contiguous 8-wide loads, forms eight samples at
+//! once, and one 8 × 8 transpose per eight columns returns the samples to
+//! the lane-interleaved layout the unchanged accumulation reads. The last
+//! block of a run whose width is no multiple of eight loads with only its
+//! columns masked in, so no lane reads past its last tap, at any window
+//! radius. Every other row runs the clamped sampler
+//! ([`sample_clamped`]): `floor`, then every tap index clamped to the
+//! plane in `f32` before the truncating cast, so each index stays in
+//! bounds at any coordinate, NaN included, and the taps are the ones the
+//! scalar clamp picks. The clamped sampler alone would give the same bits
+//! everywhere, but on interior lanes the row loads are faster (see "The
+//! row-load sampler" in the frontend README). The DC kernel also gathers
+//! the direct `t ± 1` gradient taps of the lanes whose `±1` exactness
+//! proof fails, column by column and row by row, and blends them in. Only
+//! a lane with a non-finite coordinate runs the scalar DC or LSS rows, so
+//! NaN and infinity payloads never meet a vector instruction. A plane one
+//! pixel wide or high is no [`Plane`]: its lanes run the scalar DC and
+//! the portable LSS batch.
 //!
-//! A free lane still occupies its slot of every vector: the gathers skip
-//! it, the arithmetic does not. The solve refills a lane as soon as its
-//! track leaves, so free LSS lanes occur only in a level's tail.
+//! A free lane still occupies its slot of every vector: the loads and
+//! gathers skip it, the arithmetic does not. The solve refills a lane as
+//! soon as its track leaves, so free LSS lanes occur only in a level's
+//! tail.
 
 use super::{lss_lane_row, TrackBatch, KLT_LANES};
 use eudoxus_image::isa::Avx2;
@@ -37,8 +49,8 @@ use std::arch::x86_64::*;
 
 const _: () = assert!(KLT_LANES == 8, "one __m256 holds the lanes of a batch");
 
-/// A plane the kernels can gather from: at least two pixels each way (so
-/// a tap pair's row below exists), every flat index fits `i32` and both
+/// A plane the kernels can sample: at least two pixels each way (so an
+/// interior tap's row below exists), every flat index fits `i32` and both
 /// coordinate bounds are exact in `f32`. Lanes on any other plane run
 /// the scalar DC and the portable LSS batch.
 #[derive(Clone, Copy)]
@@ -46,7 +58,7 @@ struct Plane<'a> {
     raw: &'a [f32],
     width: i32,
     /// `width - 1`: the last column, and for `x ≥ 0`, `floor(x) ≤
-    /// width - 2` (an interior tap pair) iff `x < x_end`.
+    /// width - 2` (an interior tap) iff `x < x_end`.
     x_end: f32,
     /// `height - 1`, the same for rows.
     y_end: f32,
@@ -72,34 +84,44 @@ impl<'a> Plane<'a> {
 /// `a22`) into all eight lane slots of `b`; the slots of live lanes
 /// outside the mask hold garbage until the caller runs `dc_window` for
 /// them.
-pub(super) fn dc_lanes(_: Avx2, prev: &FloatImage, r: i64, b: &mut TrackBatch) -> u32 {
+pub(super) fn dc_lanes(
+    _: Avx2,
+    prev: &FloatImage,
+    r: i64,
+    b: &mut TrackBatch,
+    clamped_rows: &mut u64,
+) -> u32 {
     match Plane::new(prev) {
         // SAFETY: the `Avx2` token proves the CPU supports AVX2.
-        Some(plane) => unsafe { dc_lanes_avx2(plane, r, b) },
+        Some(plane) => unsafe { dc_lanes_avx2(plane, r, b, clamped_rows) },
         None => 0,
     }
 }
 
 /// One LSS iteration of the batch: `(b1, b2, res)` per lane, as
 /// `lss_batch_iteration` computes them. Adds the lane rows it hands to
-/// `lss_lane_row` to `scalar_rows`.
+/// `lss_lane_row` to `scalar_rows` and the window rows it runs on the
+/// clamped sampler to `clamped_rows`.
 pub(super) fn lss_iteration(
     _: Avx2,
     next: &FloatImage,
-    b: &TrackBatch,
+    b: &mut TrackBatch,
     w: usize,
     r: i64,
     scalar_rows: &mut u64,
+    clamped_rows: &mut u64,
 ) -> ([f32; KLT_LANES], [f32; KLT_LANES], [f32; KLT_LANES]) {
     match Plane::new(next) {
         // SAFETY: the `Avx2` token proves the CPU supports AVX2.
-        Some(plane) => unsafe { lss_iteration_avx2(plane, next, b, w, r, scalar_rows) },
+        Some(plane) => unsafe {
+            lss_iteration_avx2(plane, next, b, w, r, scalar_rows, clamped_rows)
+        },
         None => super::lss_batch_iteration(next, b, w, r, scalar_rows),
     }
 }
 
 #[target_feature(enable = "avx2")]
-fn dc_lanes_avx2(p: Plane, r: i64, b: &mut TrackBatch) -> u32 {
+fn dc_lanes_avx2(p: Plane, r: i64, b: &mut TrackBatch, clamped_rows: &mut u64) -> u32 {
     let w = (2 * r + 1) as usize;
     let we = w + 2;
     let px = load(&b.px, 0);
@@ -108,47 +130,49 @@ fn dc_lanes_avx2(p: Plane, r: i64, b: &mut TrackBatch) -> u32 {
     let one = _mm256_set1_ps(1.0);
 
     let ok = _mm256_and_ps(lane_mask(&b.live), _mm256_and_ps(finite(px), finite(py)));
-    let bits = _mm256_movemask_ps(ok) as u32;
+    let bits = _mm256_movemask_ps(ok);
     if bits == 0 {
         return 0;
     }
 
-    // Interior proof for the whole grid: `p + d` and `floor` are
-    // monotone in `d`, so the corner samples bound every row and column.
+    // Every grid row samples the same column run `px + edx`: lanes whose
+    // run is regular and inside the plane's columns take row loads on
+    // each row that is inside its rows too. `p + d` is monotone in `d`,
+    // so the end columns bound the run.
     let (lo, hi) = (-(r + 1), r + 1);
-    let mut inside = ok;
-    inside = _mm256_and_ps(inside, _mm256_cmp_ps::<_CMP_GE_OQ>(offset(px, lo), zero));
-    inside = _mm256_and_ps(
-        inside,
+    let (first, regular) = row_runs(|c| offset(px, lo + c as i64), we, &mut b.fx);
+    let mut run = _mm256_and_ps(ok, regular);
+    run = _mm256_and_ps(run, _mm256_cmp_ps::<_CMP_GE_OQ>(offset(px, lo), zero));
+    run = _mm256_and_ps(
+        run,
         _mm256_cmp_ps::<_CMP_LT_OQ>(offset(px, hi), _mm256_set1_ps(p.x_end)),
-    );
-    inside = _mm256_and_ps(inside, _mm256_cmp_ps::<_CMP_GE_OQ>(offset(py, lo), zero));
-    inside = _mm256_and_ps(
-        inside,
-        _mm256_cmp_ps::<_CMP_LT_OQ>(offset(py, hi), _mm256_set1_ps(p.y_end)),
     );
 
     b.grid.resize(we * we * KLT_LANES, 0.0);
-    if _mm256_movemask_ps(inside) as u32 == bits {
-        let width = _mm256_set1_epi32(p.width);
-        for (erow, edy) in (lo..=hi).enumerate() {
-            let (row0, fy) = row_state(offset(py, edy), width);
+    let y_end = _mm256_set1_ps(p.y_end);
+    for (erow, edy) in (lo..=hi).enumerate() {
+        let y = offset(py, edy);
+        let inside = _mm256_and_ps(
+            run,
+            _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_GE_OQ>(y, zero),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(y, y_end),
+            ),
+        );
+        let grid = &mut b.grid[erow * we * KLT_LANES..][..we * KLT_LANES];
+        if _mm256_movemask_ps(inside) == bits {
+            // SAFETY: every lane in `bits` is in `inside`: its row has
+            // `0 ≤ y < height - 1` and its regular run lies in
+            // `[0, width - 1)`.
+            let emit = |ecol, v| store(grid, ecol, v);
+            unsafe { sample_row(p, first, &b.fx, we, y, bits, emit) };
+        } else {
+            // Some lane's grid row leaves the plane or its run is
+            // irregular: the clamped sampler serves every lane of the row.
+            *clamped_rows += 1;
+            let row = clamped_row(p, y);
             for (ecol, edx) in (lo..=hi).enumerate() {
-                // SAFETY: every lane in `ok` passed the corner proof,
-                // which bounds `py + edy` and `px + edx` inside the plane.
-                let v = unsafe { sample(p, row0, fy, offset(px, edx), ok) };
-                store(&mut b.grid, erow * we + ecol, v);
-            }
-        }
-    } else {
-        for (erow, edy) in (lo..=hi).enumerate() {
-            let row = clamped_row(p, offset(py, edy));
-            for (ecol, edx) in (lo..=hi).enumerate() {
-                store(
-                    &mut b.grid,
-                    erow * we + ecol,
-                    sample_clamped(p, row, offset(px, edx), ok),
-                );
+                store(grid, ecol, sample_clamped(p, row, offset(px, edx), ok));
             }
         }
     }
@@ -223,7 +247,7 @@ fn dc_lanes_avx2(p: Plane, r: i64, b: &mut TrackBatch) -> u32 {
     store(&mut b.a11, 0, a11);
     store(&mut b.a12, 0, a12);
     store(&mut b.a22, 0, a22);
-    bits
+    bits as u32
 }
 
 /// `grid` with the lanes in `need` replaced by the clamped sample at `x`
@@ -242,10 +266,11 @@ fn direct_tap(p: Plane, row: ClampedRow, x: __m256, need: __m256, grid: __m256) 
 fn lss_iteration_avx2(
     p: Plane,
     next: &FloatImage,
-    b: &TrackBatch,
+    b: &mut TrackBatch,
     w: usize,
     r: i64,
     scalar_rows: &mut u64,
+    clamped_rows: &mut u64,
 ) -> ([f32; KLT_LANES], [f32; KLT_LANES], [f32; KLT_LANES]) {
     let active = lane_mask(&b.live);
     let active_bits = _mm256_movemask_ps(active);
@@ -254,16 +279,19 @@ fn lss_iteration_avx2(
     let py = load(&b.py, 0);
     let zero = _mm256_setzero_ps();
     let abs = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
-    let width = _mm256_set1_epi32(p.width);
     let y_end = _mm256_set1_ps(p.y_end);
     // Every row samples the same column run, whose endpoints bound it:
     // finite endpoints make every column finite, and interior ones every
-    // column interior.
+    // column interior. Lanes whose run is also regular take row loads on
+    // each row inside the plane's rows.
+    let x = |c| _mm256_add_ps(load(&b.txs, c), gx);
+    let (first_col, regular) = row_runs(x, w, &mut b.fx);
+    let b = &*b;
     let first = _mm256_add_ps(load(&b.txs, 0), gx);
     let last = _mm256_add_ps(load(&b.txs, w - 1), gx);
     let finite_run = _mm256_and_ps(active, _mm256_and_ps(finite(first), finite(last)));
     let run = _mm256_and_ps(
-        finite_run,
+        _mm256_and_ps(finite_run, regular),
         _mm256_and_ps(
             _mm256_cmp_ps::<_CMP_GE_OQ>(first, zero),
             _mm256_cmp_ps::<_CMP_LT_OQ>(last, _mm256_set1_ps(p.x_end)),
@@ -301,17 +329,14 @@ fn lss_iteration_avx2(
                 res = _mm256_add_ps(res, _mm256_and_ps(it, abs));
             };
             if _mm256_movemask_ps(interior) == bits {
-                let (row0, fy) = row_state(y, width);
-                for col in 0..w {
-                    let x = _mm256_add_ps(load(&b.txs, col), gx);
-                    // SAFETY: lanes in `interior` have `0 ≤ y < height - 1`
-                    // and their column run (which contains `x`) inside
-                    // `[0, width - 1)`.
-                    accumulate(col, unsafe { sample(p, row0, fy, x, interior) });
-                }
+                // SAFETY: lanes in `interior` have `0 ≤ y < height - 1`
+                // and a regular column run inside `[0, width - 1)`.
+                unsafe { sample_row(p, first_col, &b.fx, w, y, bits, accumulate) };
             } else {
-                // Some lane's row leaves the plane: the clamped sampler
-                // serves every lane of the row.
+                // Some lane's row leaves the plane or its run is
+                // irregular: the clamped sampler serves every lane of the
+                // row.
+                *clamped_rows += 1;
                 let clamped = clamped_row(p, y);
                 for col in 0..w {
                     let x = _mm256_add_ps(load(&b.txs, col), gx);
@@ -397,68 +422,152 @@ fn bilinear(p00: __m256, p10: __m256, p01: __m256, p11: __m256, fx: __m256, fy: 
     _mm256_add_ps(s, _mm256_mul_ps(_mm256_mul_ps(p11, fx), fy))
 }
 
-/// Row state at heights `y`, as `RowSampler::new` computes it: the flat
-/// index of `(0, floor(y))` and `fy = y - floor(y)`. Meaningful only on
-/// lanes with `0 ≤ y < height - 1`.
+/// Prepares the row-load sampler for a column run of `n` columns whose
+/// lane-interleaved positions `x(c)` do not depend on the row: writes
+/// every column's `fx = x - trunc(x)` into `fx`, lane-major in blocks of
+/// eight columns (lane `l`'s columns `8k .. 8k + 8` at vector
+/// `k · KLT_LANES + l`), and returns `trunc(x_0)` and the all-ones lanes
+/// whose run is regular: `trunc(x_c) == trunc(x_0) + c` for every column
+/// `c`. `fx` is computed lane-interleaved, as
+/// `RowSampler::sample_interior` computes it, and then transposed; a
+/// column past `n` in the last block holds 0.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn row_state(y: __m256, width: __m256i) -> (__m256i, __m256) {
-    let y0 = _mm256_floor_ps(y);
-    let row0 = _mm256_mullo_epi32(_mm256_cvttps_epi32(y0), width);
-    (row0, _mm256_sub_ps(y, y0))
+fn row_runs(x: impl Fn(usize) -> __m256, n: usize, fx: &mut Vec<f32>) -> (__m256i, __m256) {
+    let blocks = n.div_ceil(KLT_LANES);
+    fx.resize(blocks * KLT_LANES * KLT_LANES, 0.0);
+    let first = _mm256_cvttps_epi32(x(0));
+    let mut regular = _mm256_set1_epi32(-1);
+    for k in 0..blocks {
+        let mut cols = [_mm256_setzero_ps(); KLT_LANES];
+        for (i, col) in cols.iter_mut().enumerate().take(n - k * KLT_LANES) {
+            let c = k * KLT_LANES + i;
+            let xc = x(c);
+            let x0 = _mm256_cvttps_epi32(xc);
+            let expected = _mm256_add_epi32(first, _mm256_set1_epi32(c as i32));
+            regular = _mm256_and_si256(regular, _mm256_cmpeq_epi32(x0, expected));
+            *col = _mm256_sub_ps(xc, _mm256_cvtepi32_ps(x0));
+        }
+        transpose(&mut cols);
+        for (l, v) in cols.into_iter().enumerate() {
+            store(fx, k * KLT_LANES + l, v);
+        }
+    }
+    (first, _mm256_castsi256_ps(regular))
 }
 
-/// Bilinear samples at `x` on the rows of `row_state`, gathered only for
-/// lanes in `mask` (the others read nothing and hold garbage). Identical
-/// arithmetic to `RowSampler::sample_interior`: the truncating cast is
-/// `floor` for the proven `x ≥ 0`.
+/// Bilinear samples of row `y` at the `n` columns of the runs that start
+/// at `first` (`trunc(x_0)` per lane) with the lane-major offsets `fx`
+/// of [`row_runs`], for the lanes set in `lanes` (the others hold 0),
+/// handed to `emit(c, v)` column by column in order, lane-interleaved.
+/// Identical arithmetic to `RowSampler::sample_interior` on each lane:
+/// `floor(y)` and `fy` as `RowSampler::new` computes them, the column's
+/// `fx`, and `bilinear`'s formula.
 ///
-/// Each gather element is a 64-bit tap pair (`p00, p10` on the row,
-/// `p01, p11` below it), so four 4-element gathers fetch the 32 taps.
-/// Lanes (0, 1, 4, 5) and (2, 3, 6, 7) are gathered together, which lets
-/// the in-lane even/odd shuffles return every tap in lane order.
+/// Each lane loads its two tap rows and their `+1` shifts as contiguous
+/// 8-wide loads from its first tap, which a regular run makes column
+/// `c`'s taps (`trunc(x_c) = trunc(x_0) + c`), and forms eight samples of
+/// its own; one 8 × 8 transpose per eight columns returns them to the
+/// lane-interleaved layout. A last block of `m < 8` columns loads with
+/// the first `m` elements masked in, so no load reaches past the run's
+/// last tap.
 ///
 /// # Safety
 ///
-/// Every lane in `mask` must have `0 ≤ x < width - 1`, and its row must
-/// come from a height `0 ≤ y < height - 1`.
+/// Every lane in `lanes` must have `0 ≤ y < height - 1` and a regular
+/// run (see [`row_runs`]) inside `[0, width - 1)`.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn sample(p: Plane, row0: __m256i, fy: __m256, x: __m256, mask: __m256) -> __m256 {
-    let x0 = _mm256_cvttps_epi32(x);
-    let fx = _mm256_sub_ps(x, _mm256_cvtepi32_ps(x0));
+unsafe fn sample_row(
+    p: Plane,
+    first: __m256i,
+    fx: &[f32],
+    n: usize,
+    y: __m256,
+    lanes: i32,
+    mut emit: impl FnMut(usize, __m256),
+) {
+    let y0 = _mm256_floor_ps(y);
+    let mut fy = [0.0f32; KLT_LANES];
+    store(&mut fy, 0, _mm256_sub_ps(y, y0));
+    let row0 = _mm256_mullo_epi32(_mm256_cvttps_epi32(y0), _mm256_set1_epi32(p.width));
+    let mut start = [0i32; KLT_LANES];
+    // SAFETY: `start` holds eight `i32`s, one unaligned 256-bit store.
+    unsafe { _mm256_storeu_si256(start.as_mut_ptr().cast(), _mm256_add_epi32(row0, first)) };
+    let below = p.width as usize;
+    let raw = p.raw.as_ptr();
+    for k in 0..n.div_ceil(KLT_LANES) {
+        let m = (n - k * KLT_LANES).min(KLT_LANES);
+        let tail = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(m as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut v = [_mm256_setzero_ps(); KLT_LANES];
+        for (l, v) in v.iter_mut().enumerate() {
+            if lanes & (1 << l) == 0 {
+                continue;
+            }
+            // SAFETY (caller): the lane's taps of columns `8k .. 8k + m`
+            // are `raw[start + 8k ..= start + 8k + m]` on its row and the
+            // same `width` further on the row below, all inside the plane;
+            // the masked loads read no others.
+            let (p00, p10, p01, p11) = unsafe {
+                let top = raw.add(start[l] as usize + k * KLT_LANES);
+                let bottom = top.add(below);
+                if m == KLT_LANES {
+                    (
+                        _mm256_loadu_ps(top),
+                        _mm256_loadu_ps(top.add(1)),
+                        _mm256_loadu_ps(bottom),
+                        _mm256_loadu_ps(bottom.add(1)),
+                    )
+                } else {
+                    (
+                        _mm256_maskload_ps(top, tail),
+                        _mm256_maskload_ps(top.add(1), tail),
+                        _mm256_maskload_ps(bottom, tail),
+                        _mm256_maskload_ps(bottom.add(1), tail),
+                    )
+                }
+            };
+            let lane_fx = load(fx, k * KLT_LANES + l);
+            *v = bilinear(p00, p10, p01, p11, lane_fx, _mm256_set1_ps(fy[l]));
+        }
+        transpose(&mut v);
+        for (i, v) in v.into_iter().enumerate().take(m) {
+            emit(k * KLT_LANES + i, v);
+        }
+    }
+}
 
-    let order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-    let idx = _mm256_permutevar8x32_epi32(_mm256_add_epi32(row0, x0), order);
-    let mask = _mm256_permutevar8x32_epi32(_mm256_castps_si256(mask), order);
-    let (idx_a, idx_b) = (
-        _mm256_castsi256_si128(idx),
-        _mm256_extracti128_si256::<1>(idx),
-    );
-    let mask_a = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(mask));
-    let mask_b = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(mask));
-    let zero = _mm256_setzero_si256();
-    let row = p.raw.as_ptr();
-    // SAFETY (caller): `idx = floor(y)·width + floor(x)` with
-    // `floor(x) ≤ width - 2` and `floor(y) ≤ height - 2`, so the pairs at
-    // `idx` and `idx + width` lie in the plane; `row + width` stays inside
-    // it because `height ≥ 2`.
-    let (top_a, top_b, bot_a, bot_b) = unsafe {
-        let below = row.add(p.width as usize);
-        (
-            _mm256_mask_i32gather_epi64::<4>(zero, row.cast(), idx_a, mask_a),
-            _mm256_mask_i32gather_epi64::<4>(zero, row.cast(), idx_b, mask_b),
-            _mm256_mask_i32gather_epi64::<4>(zero, below.cast(), idx_a, mask_a),
-            _mm256_mask_i32gather_epi64::<4>(zero, below.cast(), idx_b, mask_b),
-        )
-    };
-    let (top_a, top_b) = (_mm256_castsi256_ps(top_a), _mm256_castsi256_ps(top_b));
-    let (bot_a, bot_b) = (_mm256_castsi256_ps(bot_a), _mm256_castsi256_ps(bot_b));
-    let p00 = _mm256_shuffle_ps::<0b10_00_10_00>(top_a, top_b);
-    let p10 = _mm256_shuffle_ps::<0b11_01_11_01>(top_a, top_b);
-    let p01 = _mm256_shuffle_ps::<0b10_00_10_00>(bot_a, bot_b);
-    let p11 = _mm256_shuffle_ps::<0b11_01_11_01>(bot_a, bot_b);
-    bilinear(p00, p10, p01, p11, fx, fy)
+/// Transposes the 8 × 8 matrix whose rows are `v`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn transpose(v: &mut [__m256; KLT_LANES]) {
+    let t0 = _mm256_unpacklo_ps(v[0], v[1]);
+    let t1 = _mm256_unpackhi_ps(v[0], v[1]);
+    let t2 = _mm256_unpacklo_ps(v[2], v[3]);
+    let t3 = _mm256_unpackhi_ps(v[2], v[3]);
+    let t4 = _mm256_unpacklo_ps(v[4], v[5]);
+    let t5 = _mm256_unpackhi_ps(v[4], v[5]);
+    let t6 = _mm256_unpacklo_ps(v[6], v[7]);
+    let t7 = _mm256_unpackhi_ps(v[6], v[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    v[0] = _mm256_permute2f128_ps::<0x20>(s0, s4);
+    v[1] = _mm256_permute2f128_ps::<0x20>(s1, s5);
+    v[2] = _mm256_permute2f128_ps::<0x20>(s2, s6);
+    v[3] = _mm256_permute2f128_ps::<0x20>(s3, s7);
+    v[4] = _mm256_permute2f128_ps::<0x31>(s0, s4);
+    v[5] = _mm256_permute2f128_ps::<0x31>(s1, s5);
+    v[6] = _mm256_permute2f128_ps::<0x31>(s2, s6);
+    v[7] = _mm256_permute2f128_ps::<0x31>(s3, s7);
 }
 
 /// Row state of the clamped sampler: the flat indices of rows `floor(y)`

@@ -58,8 +58,9 @@
 //! The bilinear-sampling loops — KLT's DC and LSS phases and ORB's 256
 //! rotated-BRIEF tests ([`compute_orb`]) — have two implementations,
 //! picked at run time. On x86-64 hosts that report AVX2, `std::arch`
-//! kernels run one vector instruction for all eight KLT lanes (masked
-//! gathers sample every lane's window) and eight BRIEF pairs at a time.
+//! kernels run one vector instruction for all eight KLT lanes (row loads
+//! sample interior window rows, masked gathers the rest) and eight BRIEF
+//! pairs at a time.
 //! Where the CPU lacks AVX2 the portable path runs (other architectures
 //! compile only that path; CI type-checks it for aarch64): the
 //! lane-sequential batch, whose row-hoisted gather

@@ -11,9 +11,11 @@
 //! Every output runs the scalar operation sequence of
 //! [`separable_filter_into`](super::separable_filter_into): its
 //! accumulator starts at `0.0` and adds `k·p` tap by tap in kernel order,
-//! with `mul` and `add` as separate instructions (no FMA). Border columns
-//! take the clamped scalar taps. Border rows read lines computed from the
-//! clamped row. The vertical sum is rounded to `u8` by
+//! with `mul` and `add` as separate instructions (no FMA). Each source
+//! row is widened to `f32` once, into a line of its own, and the
+//! horizontal taps load those floats: the values `u8 as f32` gives, so
+//! the sums are unchanged. Border columns take the clamped scalar taps.
+//! Border rows read lines computed from the clamped row. The vertical sum is rounded to `u8` by
 //! the rule of `FloatImage::to_gray_into` (clamp to `[0, 255]`, truncate,
 //! add one at a fraction `≥ 0.5`). The output is therefore bit-identical
 //! to the portable blur.
@@ -38,7 +40,8 @@ pub(super) fn gaussian_blur(
     if w < 2 * r + 8 || h <= 2 * r {
         return portable_blur(img, scratch, out);
     }
-    scratch.lines.resize(n * w, 0.0);
+    // The ring of `n` lines, then the widened source row.
+    scratch.lines.resize((n + 1) * w, 0.0);
     out.reshape(img.width(), img.height());
     // SAFETY: the `Avx2` token proves the CPU supports AVX2.
     unsafe {
@@ -53,12 +56,15 @@ pub(super) fn gaussian_blur(
 }
 
 /// The blur of the `w`-wide image `src` into `dst`, with `lines` as the
-/// ring of `kernel.len()` lines. Requires `w ≥ 2r + 8`.
+/// ring of `kernel.len()` lines followed by one line for the widened
+/// source row. Requires `w ≥ 2r + 8`.
 #[target_feature(enable = "avx2")]
 fn blur_avx2(src: &[u8], w: usize, kernel: &[f32], lines: &mut [f32], dst: &mut [u8]) {
     let n = kernel.len();
     let r = n / 2;
     let h = src.len() / w;
+    let (lines, wide) = lines.split_at_mut(n * w);
+    let wide = &mut wide[..w];
     // Line `v` counts rows from `r` above the image: it holds the
     // horizontal pass of row `clamp(v − r, 0, h − 1)`, so the rows a
     // clamped vertical tap reads are plain lines, and output row `y`
@@ -67,7 +73,10 @@ fn blur_avx2(src: &[u8], w: usize, kernel: &[f32], lines: &mut [f32], dst: &mut 
     // that reads it has already used.
     for v in 0..h + 2 * r {
         let row = v.saturating_sub(r).min(h - 1);
-        horizontal_row(&src[row * w..][..w], kernel, &mut lines[v % n * w..][..w]);
+        for (f, &p) in wide.iter_mut().zip(&src[row * w..][..w]) {
+            *f = f32::from(p);
+        }
+        horizontal_row(wide, kernel, &mut lines[v % n * w..][..w]);
         if v >= 2 * r {
             let y = v - 2 * r;
             vertical_row(lines, w, y % n, kernel, &mut dst[y * w..][..w]);
@@ -75,11 +84,11 @@ fn blur_avx2(src: &[u8], w: usize, kernel: &[f32], lines: &mut [f32], dst: &mut 
     }
 }
 
-/// The horizontal pass of one row: `dst[x] = 0 + Σ k_j · src[x − r + j]`
-/// with clamped columns.
+/// The horizontal pass of one widened row: `dst[x] = 0 + Σ k_j ·
+/// src[x − r + j]` with clamped columns.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn horizontal_row(src: &[u8], kernel: &[f32], dst: &mut [f32]) {
+fn horizontal_row(src: &[f32], kernel: &[f32], dst: &mut [f32]) {
     let w = src.len();
     let r = kernel.len() / 2;
     // The unchecked blocks below rely on this.
@@ -87,7 +96,7 @@ fn horizontal_row(src: &[u8], kernel: &[f32], dst: &mut [f32]) {
     for x in (0..r).chain(w - r..w) {
         let mut acc = 0.0;
         for (k, &kv) in kernel.iter().enumerate() {
-            acc += kv * src[(x + k).saturating_sub(r).min(w - 1)] as f32;
+            acc += kv * src[(x + k).saturating_sub(r).min(w - 1)];
         }
         dst[x] = acc;
     }
@@ -115,7 +124,7 @@ fn horizontal_row(src: &[u8], kernel: &[f32], dst: &mut [f32]) {
 }
 
 /// `V` registers of horizontal outputs: `dst[i] = 0 + Σ k_j · src[i + j]`
-/// for `i < 8V`, reading the `u8` taps directly.
+/// for `i < 8V`.
 ///
 /// # Safety
 ///
@@ -123,13 +132,12 @@ fn horizontal_row(src: &[u8], kernel: &[f32], dst: &mut [f32]) {
 /// writable.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn horizontal_block<const V: usize>(src: *const u8, kernel: &[f32], dst: *mut f32) {
+unsafe fn horizontal_block<const V: usize>(src: *const f32, kernel: &[f32], dst: *mut f32) {
     let mut acc = [_mm256_setzero_ps(); V];
     for (k, &kv) in kernel.iter().enumerate() {
         let kv = _mm256_set1_ps(kv);
         for (j, a) in acc.iter_mut().enumerate() {
-            let bytes = _mm_loadl_epi64(src.add(k + 8 * j) as *const __m128i);
-            let p = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+            let p = _mm256_loadu_ps(src.add(k + 8 * j));
             *a = _mm256_add_ps(*a, _mm256_mul_ps(kv, p));
         }
     }
